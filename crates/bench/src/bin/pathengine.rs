@@ -38,11 +38,13 @@
 //! 40000, which drains both the OP and BRANCH spaces at limit 4);
 //! `--limit N` sets the instruction limit of the primary engine
 //! comparison (default 2); `--smoke` is a fast CI mode (24 paths,
-//! primary rows only — explicitly truncated).
+//! primary rows only — explicitly truncated) that writes its document
+//! to the system temp directory; `--out PATH` overrides where the
+//! document goes.
 
 use std::time::Instant;
 
-use symcosim_bench::BENCH_SCHEMA;
+use symcosim_bench::{bench_out_path, BENCH_SCHEMA};
 use symcosim_core::json::{self, JsonWriter};
 use symcosim_core::{EngineKind, InstrConstraint, SessionConfig, VerifySession};
 use symcosim_isa::opcodes;
@@ -66,11 +68,6 @@ fn bench_config(opcode: u32, max_paths: usize, instr_limit: u32) -> SessionConfi
     config.instr_limit = instr_limit;
     config.cycle_limit = 64 * instr_limit as u64;
     config.max_paths = max_paths;
-    // Isolate path-engine throughput: per-path test-vector emission
-    // re-solves the full path condition on a fresh solver, a cost that is
-    // identical in every engine and merge mode and would dilute the
-    // measured ratios.
-    config.emit_test_vectors = false;
     config
 }
 
@@ -288,6 +285,7 @@ fn main() {
     }
     w.close_object();
     w.close_object();
-    std::fs::write("BENCH_pathengine.json", w.finish()).expect("write BENCH_pathengine.json");
-    println!("wrote BENCH_pathengine.json");
+    let out = bench_out_path(&args, "BENCH_pathengine.json", smoke);
+    std::fs::write(&out, w.finish()).expect("write the pathengine document");
+    println!("wrote {}", out.display());
 }

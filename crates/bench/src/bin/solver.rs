@@ -25,11 +25,12 @@
 //! Run with: `cargo run --release -p symcosim-bench --bin solver`
 //! Optional: `--paths N` bounds the explored paths per run (default 200,
 //! which drains both spaces at limit 2); `--smoke` is a fast CI mode
-//! (24 paths per run).
+//! (24 paths per run) that writes its document to the system temp
+//! directory; `--out PATH` overrides where the document goes.
 
 use std::time::Instant;
 
-use symcosim_bench::BENCH_SCHEMA;
+use symcosim_bench::{bench_out_path, BENCH_SCHEMA};
 use symcosim_core::json::{self, JsonWriter};
 use symcosim_core::{EngineKind, InstrConstraint, SessionConfig, VerifyReport, VerifySession};
 use symcosim_isa::opcodes;
@@ -69,10 +70,6 @@ fn sweep_config(
     config.cycle_limit = 64 * u64::from(INSTR_LIMIT);
     config.max_paths = max_paths;
     config.engine = EngineKind::Fork;
-    // Isolate feasibility solving: per-path test-vector emission re-solves
-    // the full path condition on a fresh solver outside the chain, a cost
-    // identical in all modes.
-    config.emit_test_vectors = false;
     config.solver_chain = chain;
     config.incremental = incremental;
     config.preflight = preflight;
@@ -248,6 +245,7 @@ fn main() {
         w.close_object();
     });
     w.close_object();
-    std::fs::write("BENCH_solver.json", w.finish()).expect("write BENCH_solver.json");
-    println!("\nwrote BENCH_solver.json");
+    let out = bench_out_path(&args, "BENCH_solver.json", smoke);
+    std::fs::write(&out, w.finish()).expect("write the solver document");
+    println!("\nwrote {}", out.display());
 }

@@ -122,9 +122,9 @@ fn main() {
             " | {:>6} {:>12} {:>8} {:>7} {:>6}",
             "",
             median(&mut instr_series[i]),
-            fmt_secs(std::time::Duration::from_millis(median(
-                &mut time_series[i]
-            ))),
+            fmt_secs(std::time::Duration::from_secs_f64(
+                median(&mut time_series[i]) / 1000.0
+            )),
             median(&mut partial_series[i]),
             median(&mut path_series[i]),
         );

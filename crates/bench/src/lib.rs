@@ -21,6 +21,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::path::PathBuf;
 use std::sync::mpsc;
 use std::thread;
 
@@ -103,15 +104,38 @@ pub fn fmt_secs(duration: std::time::Duration) -> String {
     format!("{:.2}", duration.as_secs_f64())
 }
 
-/// Median of a slice (the tables report medians like the paper does).
+/// Where a bench bin writes its `BENCH_*.json` document: `--out PATH`
+/// when given; otherwise `file_name` in the working directory for a full
+/// run, or in [`std::env::temp_dir`] for a `--smoke` run, so a smoke run
+/// never overwrites the committed full-run document.
+pub fn bench_out_path(args: &[String], file_name: &str, smoke: bool) -> PathBuf {
+    match args
+        .iter()
+        .position(|a| a == "--out")
+        .and_then(|i| args.get(i + 1))
+    {
+        Some(path) => PathBuf::from(path),
+        None if smoke => std::env::temp_dir().join(file_name),
+        None => PathBuf::from(file_name),
+    }
+}
+
+/// Median of a slice (the tables report medians like the paper does):
+/// the middle value, or the mean of the two middle values of an
+/// even-length slice.
 ///
 /// # Panics
 ///
 /// Panics on an empty slice.
-pub fn median(values: &mut [u64]) -> u64 {
+pub fn median(values: &mut [u64]) -> f64 {
     assert!(!values.is_empty(), "median of empty slice");
     values.sort_unstable();
-    values[values.len() / 2]
+    let upper = values.len() / 2;
+    if values.len() % 2 == 1 {
+        values[upper] as f64
+    } else {
+        (values[upper - 1] as f64 + values[upper] as f64) / 2.0
+    }
 }
 
 #[cfg(test)]
@@ -120,8 +144,29 @@ mod tests {
 
     #[test]
     fn median_of_odd_and_even() {
-        assert_eq!(median(&mut [3, 1, 2]), 2);
-        assert_eq!(median(&mut [4, 1, 2, 3]), 3);
+        assert_eq!(median(&mut [3, 1, 2]), 2.0);
+        assert_eq!(median(&mut [4, 1, 2, 3]), 2.5);
+    }
+
+    #[test]
+    fn smoke_output_defaults_to_the_temp_dir() {
+        let args = |list: &[&str]| list.iter().map(ToString::to_string).collect::<Vec<_>>();
+        assert_eq!(
+            bench_out_path(&args(&["bin", "--smoke"]), "BENCH_x.json", true),
+            std::env::temp_dir().join("BENCH_x.json")
+        );
+        assert_eq!(
+            bench_out_path(&args(&["bin"]), "BENCH_x.json", false),
+            PathBuf::from("BENCH_x.json")
+        );
+        assert_eq!(
+            bench_out_path(
+                &args(&["bin", "--smoke", "--out", "o.json"]),
+                "BENCH_x.json",
+                true
+            ),
+            PathBuf::from("o.json")
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! ```
 
 use std::error::Error;
-use std::io::{IsTerminal, Read};
+use std::io::{ErrorKind, IsTerminal, Read, Write};
 
 use symcosim_core::fuzz::{self, FuzzConfig};
 use symcosim_core::{
@@ -86,10 +86,29 @@ USAGE:
         Assemble RV32I+Zicsr text from stdin, print one hex word per line.
 ";
 
+/// `print!` that hands a failed write back to the caller instead of
+/// panicking, so a reader closing the pipe early ends the run through
+/// [`main`]'s broken-pipe arm.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write!(std::io::stdout(), $($arg)*)
+    };
+}
+
+/// `println!` counterpart of [`out!`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        writeln!(std::io::stdout(), $($arg)*)
+    };
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let code = match run(&args) {
         Ok(()) => 0,
+        // The reader hung up (`symcosim-cli inject E6 | head -1`): it
+        // wants no more output, which is not a failure.
+        Err(error) if is_broken_pipe(error.as_ref()) => 0,
         Err(message) => {
             eprintln!("error: {message}");
             eprintln!();
@@ -100,18 +119,23 @@ fn main() {
     std::process::exit(code);
 }
 
+fn is_broken_pipe(error: &(dyn Error + 'static)) -> bool {
+    error
+        .downcast_ref::<std::io::Error>()
+        .is_some_and(|e| e.kind() == ErrorKind::BrokenPipe)
+}
+
 fn run(args: &[String]) -> Result<(), Box<dyn Error>> {
     match args.first().map(String::as_str) {
-        Some("verify") => cmd_verify(&args[1..]),
-        Some("inject") => cmd_inject(&args[1..]),
-        Some("fuzz") => cmd_fuzz(&args[1..]),
-        Some("asm") => cmd_asm(),
-        Some("--help" | "-h" | "help") | None => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        Some(other) => Err(format!("unknown subcommand {other:?}").into()),
+        Some("verify") => cmd_verify(&args[1..])?,
+        Some("inject") => cmd_inject(&args[1..])?,
+        Some("fuzz") => cmd_fuzz(&args[1..])?,
+        Some("asm") => cmd_asm()?,
+        Some("--help" | "-h" | "help") | None => outln!("{USAGE}")?,
+        Some(other) => return Err(format!("unknown subcommand {other:?}").into()),
     }
+    std::io::stdout().flush()?;
+    Ok(())
 }
 
 fn flag_value(args: &[String], flag: &str) -> Result<Option<u64>, Box<dyn Error>> {
@@ -250,15 +274,15 @@ fn cmd_verify(args: &[String]) -> Result<(), Box<dyn Error>> {
     }
     let audit = config.audit;
     let report = run_session(VerifySession::new(config)?, jobs);
-    print!("{report}");
+    out!("{report}")?;
     if let Some(path) = report_json {
         std::fs::write(&path, report.to_json())?;
-        println!("report dumped to {path}");
+        outln!("report dumped to {path}")?;
     }
     if let Some(path) = audit_json {
         let dump = AuditDump::new(report.proof_audit, report.proof_audit_units.clone());
         std::fs::write(&path, dump.to_json())?;
-        println!("audit artifact dumped to {path}");
+        outln!("audit artifact dumped to {path}")?;
     }
     if certify {
         let coverage = report
@@ -269,7 +293,7 @@ fn cmd_verify(args: &[String]) -> Result<(), Box<dyn Error>> {
         if audit {
             certificate = certificate.with_proof_audit(report.proof_audit);
         }
-        print!("{certificate}");
+        out!("{certificate}")?;
         if certificate.findings() > 0 {
             // Uncovered decode words or double-claimed paths: the run's
             // coverage argument does not hold.
@@ -303,7 +327,7 @@ fn cmd_verify_sliced(
         let mut slice_config = config.clone();
         slice_config.slice = Some(*cube);
         let mut report = run_session(VerifySession::new(slice_config)?, jobs);
-        println!(
+        outln!(
             "slice {}/{} (mask={:08x} value={:08x}): {} paths, {} findings",
             index + 1,
             cubes.len(),
@@ -311,7 +335,7 @@ fn cmd_verify_sliced(
             cube.value,
             report.paths_complete + report.paths_partial,
             report.findings.len(),
-        );
+        )?;
         audit_stats = audit_stats.merge(report.proof_audit);
         audit_units.append(&mut report.proof_audit_units);
         if audit_failure.is_none() {
@@ -325,7 +349,7 @@ fn cmd_verify_sliced(
     if let Some(path) = audit_json {
         let dump = AuditDump::new(audit_stats, audit_units);
         std::fs::write(&path, dump.to_json())?;
-        println!("audit artifact dumped to {path}");
+        outln!("audit artifact dumped to {path}")?;
     }
     let (domain, domain_exact) = project_domain(config.constraint, None);
     let merged = merge_slice_coverage(domain, domain_exact, &parts)
@@ -334,9 +358,9 @@ fn cmd_verify_sliced(
     if config.audit {
         certificate = certificate.with_proof_audit(audit_stats);
     }
-    print!("{certificate}");
+    out!("{certificate}")?;
     if let Some(failure) = audit_failure {
-        println!("proof audit FAILURE: {failure}");
+        outln!("proof audit FAILURE: {failure}")?;
         std::process::exit(1);
     }
     if certificate.findings() > 0 {
@@ -348,13 +372,13 @@ fn cmd_verify_sliced(
 fn cmd_inject(args: &[String]) -> Result<(), Box<dyn Error>> {
     let id = args.first().ok_or("inject expects an error id (E0..E9)")?;
     let error = parse_error(id)?;
-    println!("injected fault: {error}");
+    outln!("injected fault: {error}")?;
 
     if args.iter().any(|a| a == "--fuzz") {
         let mut config = FuzzConfig::rv32i_only();
         config.inject = Some(error);
         let outcome = fuzz::run_coverage_guided(&config);
-        report_fuzz(&outcome);
+        report_fuzz(&outcome)?;
         return Ok(());
     }
 
@@ -389,25 +413,25 @@ fn cmd_inject(args: &[String]) -> Result<(), Box<dyn Error>> {
         fuzz_config.inject = Some(error);
         let outcome = fuzz::run_hybrid(&fuzz_config, session, 50_000);
         match outcome.found_by {
-            Some(phase) => println!("found by the {phase:?} phase"),
-            None => println!("not found"),
+            Some(phase) => outln!("found by the {phase:?} phase")?,
+            None => outln!("not found")?,
         }
-        report_fuzz(&outcome.fuzz);
+        report_fuzz(&outcome.fuzz)?;
         if let Some(report) = outcome.report {
-            print!("{report}");
+            out!("{report}")?;
         }
         return Ok(());
     }
 
     let report = run_session(VerifySession::new(session)?, jobs);
-    print!("{report}");
+    out!("{report}")?;
     match report.first_mismatch() {
         Some(finding) => {
             if let Some(witness) = &finding.witness {
-                println!("reproducer: {witness}");
+                outln!("reproducer: {witness}")?;
             }
         }
-        None => println!("fault not found within the configured budget"),
+        None => outln!("fault not found within the configured budget")?,
     }
     Ok(())
 }
@@ -429,21 +453,26 @@ fn cmd_fuzz(args: &[String]) -> Result<(), Box<dyn Error>> {
     } else {
         fuzz::run(&config)
     };
-    report_fuzz(&outcome);
+    report_fuzz(&outcome)?;
     Ok(())
 }
 
-fn report_fuzz(outcome: &fuzz::FuzzOutcome) {
+fn report_fuzz(outcome: &fuzz::FuzzOutcome) -> std::io::Result<()> {
     match &outcome.mismatch {
-        Some(mismatch) => println!(
+        Some(mismatch) => outln!(
             "mismatch after {} runs ({} instructions, {:.2?}): {mismatch}",
-            outcome.runs, outcome.instructions, outcome.duration
-        ),
-        None => println!(
+            outcome.runs,
+            outcome.instructions,
+            outcome.duration
+        )?,
+        None => outln!(
             "no mismatch in {} runs ({} instructions, {:.2?})",
-            outcome.runs, outcome.instructions, outcome.duration
-        ),
+            outcome.runs,
+            outcome.instructions,
+            outcome.duration
+        )?,
     }
+    Ok(())
 }
 
 fn cmd_asm() -> Result<(), Box<dyn Error>> {
@@ -451,7 +480,7 @@ fn cmd_asm() -> Result<(), Box<dyn Error>> {
     std::io::stdin().read_to_string(&mut source)?;
     let words = symcosim_isa::asm::assemble(&source)?;
     for word in words {
-        println!("{word:08x}");
+        outln!("{word:08x}")?;
     }
     Ok(())
 }

@@ -263,13 +263,13 @@ impl JsonValue {
     /// Parses a complete JSON document (trailing whitespace allowed).
     pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
         let mut parser = Parser {
-            bytes: input.as_bytes(),
+            text: input,
             pos: 0,
         };
         parser.skip_ws();
         let value = parser.value()?;
         parser.skip_ws();
-        if parser.pos != parser.bytes.len() {
+        if parser.pos != input.len() {
             return Err(parser.error("trailing data after document"));
         }
         Ok(value)
@@ -332,7 +332,7 @@ impl JsonValue {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
@@ -345,7 +345,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -364,7 +364,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -450,10 +450,7 @@ impl Parser<'_> {
         if self.pos == start {
             return Err(self.error("expected a number"));
         }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("ASCII slice")
-            .to_string();
-        Ok(JsonValue::Number(raw))
+        Ok(JsonValue::Number(self.text[start..self.pos].to_string()))
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
@@ -479,9 +476,8 @@ impl Parser<'_> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .text
                                 .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
                                 .ok_or_else(|| self.error("bad \\u escape"))?;
                             out.push(
@@ -494,13 +490,15 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte sequences pass
-                    // through unchanged).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid UTF-8"))?;
-                    let ch = rest.chars().next().expect("non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the whole unescaped run at once. It starts and
+                    // ends next to an ASCII byte (a quote, a backslash or
+                    // an escape), and no byte of a multi-byte UTF-8
+                    // sequence is ASCII, so both ends are char boundaries.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -545,6 +543,37 @@ mod tests {
             Some(4_294_967_295)
         );
         assert_eq!(value.get("z"), Some(&JsonValue::Null));
+    }
+
+    #[test]
+    fn parser_keeps_multibyte_text_next_to_escapes() {
+        let value = JsonValue::parse(r#"["é\n→", "\u00e9x", "日本"]"#).expect("parses");
+        let items: Vec<&str> = value
+            .as_array()
+            .expect("array")
+            .iter()
+            .filter_map(JsonValue::as_str)
+            .collect();
+        assert_eq!(items, ["é\n→", "éx", "日本"]);
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Decoding each character by re-validating the rest of the
+        // document made this 1.5 MB string cost some 10^11 byte checks;
+        // a linear parse takes milliseconds even unoptimised.
+        let body = "aé→".repeat(1 << 18);
+        let document = format!("{{\"s\": \"{body}\", \"n\": 1}}");
+        assert!(document.len() > 1 << 20);
+        let start = std::time::Instant::now();
+        let value = JsonValue::parse(&document).expect("parses");
+        let elapsed = start.elapsed();
+        assert_eq!(value.get("s").and_then(JsonValue::as_str), Some(&*body));
+        assert!(
+            elapsed < std::time::Duration::from_secs(5),
+            "a {} byte document took {elapsed:?}",
+            document.len()
+        );
     }
 
     #[test]

@@ -70,7 +70,10 @@ pub struct SessionConfig {
     pub max_decisions_per_path: usize,
     /// Frontier discipline.
     pub strategy: SearchStrategy,
-    /// Emit a test vector per path (KLEE's test-case generation).
+    /// Count a test vector per path that did not end infeasible (KLEE's
+    /// test-case generation): such a path's condition is satisfiable by
+    /// construction, so no model is extracted. Findings' witnesses always
+    /// count.
     pub emit_test_vectors: bool,
     /// Stop the exploration at the first mismatch (Table II mode) instead
     /// of cataloguing all findings (Table I mode).
@@ -341,6 +344,7 @@ impl VerifySession {
                 let audit_units = engine.take_audit_units();
                 let report = merge_report(
                     outcome.paths,
+                    config.emit_test_vectors,
                     outcome.frontier_exhausted,
                     outcome.merged_paths,
                     outcome.paths_dropped,
@@ -375,6 +379,7 @@ impl VerifySession {
                 let audit_units = engine.take_audit_units();
                 let report = merge_report(
                     outcome.paths,
+                    config.emit_test_vectors,
                     outcome.frontier_exhausted,
                     outcome.merged_paths,
                     outcome.paths_dropped,
@@ -437,6 +442,7 @@ impl VerifySession {
                     sum_worker_stats(&outcome.workers);
                 merge_report(
                     outcome.paths,
+                    config.emit_test_vectors,
                     outcome.frontier_exhausted,
                     outcome.merged_paths,
                     outcome.paths_dropped,
@@ -464,6 +470,7 @@ impl VerifySession {
                     sum_worker_stats(&outcome.workers);
                 merge_report(
                     outcome.paths,
+                    config.emit_test_vectors,
                     outcome.frontier_exhausted,
                     outcome.merged_paths,
                     outcome.paths_dropped,
@@ -526,7 +533,6 @@ fn engine_config(config: &SessionConfig) -> EngineConfig {
         strategy: config.strategy,
         max_paths: config.max_paths,
         max_decisions_per_path: config.max_decisions_per_path,
-        emit_test_vectors: config.emit_test_vectors,
         seed: config.seed,
         max_resident_snapshots: EngineConfig::DEFAULT_MAX_RESIDENT_SNAPSHOTS,
         solver_chain: config.solver_chain,
@@ -550,6 +556,7 @@ fn engine_config(config: &SessionConfig) -> EngineConfig {
 #[allow(clippy::too_many_arguments)]
 fn merge_report(
     mut paths: Vec<PathResult<PathRun>>,
+    emit_test_vectors: bool,
     truncated: bool,
     merged_paths: usize,
     paths_dropped: usize,
@@ -601,7 +608,7 @@ fn merge_report(
         let run = &path.value;
         instructions += run.instructions;
         cycles += run.cycles;
-        if path.test_vector.is_some() || run.witness.is_some() {
+        if (emit_test_vectors && path.status != PathStatus::Infeasible) || run.witness.is_some() {
             test_vectors += 1;
         }
         match run.stop {

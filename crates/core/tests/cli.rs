@@ -1,6 +1,6 @@
 //! End-to-end tests of the `symcosim-cli` binary.
 
-use std::io::Write;
+use std::io::{BufRead, BufReader, Write};
 use std::process::{Command, Stdio};
 
 const BIN: &str = env!("CARGO_BIN_EXE_symcosim-cli");
@@ -39,6 +39,28 @@ fn inject_finds_a_fast_fault() {
     let text = String::from_utf8_lossy(&output.stdout);
     assert!(text.contains("JAL does not change the PC"), "{text}");
     assert!(text.contains("reproducer:"), "{text}");
+}
+
+#[test]
+fn a_reader_closing_the_pipe_early_ends_the_run_cleanly() {
+    // `symcosim-cli inject E6 | head -1`: the reader takes the first line
+    // and hangs up while the hunt runs, so the report write that follows
+    // meets a broken pipe.
+    let mut child = Command::new(BIN)
+        .args(["inject", "E6"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("stdout piped"))
+        .read_line(&mut first)
+        .expect("read the first line");
+    assert!(first.starts_with("injected fault"), "{first}");
+    let output = child.wait_with_output().expect("binary finishes");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(output.status.success(), "{:?}: {stderr}", output.status);
 }
 
 #[test]

@@ -467,10 +467,18 @@ where
 mod tests {
     use super::*;
     use std::sync::mpsc;
-    use symcosim_symex::{Domain, ForkExec, SearchStrategy, StepResult};
+    use symcosim_symex::{Domain, ForkExec, PathProbe, SearchStrategy, StepResult};
+
+    /// A task's value plus its path's model, extracted inside the task the
+    /// way the session extracts a finding's witness.
+    type Out = (u32, Option<String>);
+
+    fn model(exec: &mut impl PathProbe) -> Option<String> {
+        exec.stable_witness_vector(&[]).map(|v| v.to_string())
+    }
 
     /// Four decisions over distinct bits of one symbol: 16 feasible paths.
-    fn four_bit_task(exec: &mut SymExec<'_>) -> u32 {
+    fn four_bit_task(exec: &mut SymExec<'_>) -> Out {
         let x = exec.fresh_word("x");
         let mut value = 0u32;
         for bit in 0..4 {
@@ -481,7 +489,7 @@ mod tests {
                 value |= 1 << bit;
             }
         }
-        value
+        (value, model(exec))
     }
 
     fn config(jobs: usize) -> ExecConfig {
@@ -489,17 +497,14 @@ mod tests {
     }
 
     /// A printable fingerprint of everything a merged report is built from.
-    fn fingerprint(outcome: &ParallelOutcome<u32>) -> Vec<String> {
+    fn fingerprint(outcome: &ParallelOutcome<Out>) -> Vec<String> {
         outcome
             .paths
             .iter()
             .map(|p| {
                 format!(
                     "{:?} value={} status={:?} vector={:?}",
-                    p.decisions,
-                    p.value,
-                    p.status,
-                    p.test_vector.as_ref().map(|v| v.to_string())
+                    p.decisions, p.value.0, p.status, p.value.1
                 )
             })
             .collect()
@@ -510,9 +515,10 @@ mod tests {
         let baseline = explore_parallel(&config(1), four_bit_task, |_| false, None);
         assert_eq!(baseline.paths.len(), 16);
         assert!(!baseline.frontier_exhausted);
-        let mut values: Vec<u32> = baseline.complete_values().copied().collect();
+        let mut values: Vec<u32> = baseline.complete_values().map(|v| v.0).collect();
         values.sort_unstable();
         assert_eq!(values, (0..16).collect::<Vec<u32>>());
+        assert!(baseline.paths.iter().all(|p| p.value.1.is_some()));
 
         for jobs in [2, 4] {
             let outcome = explore_parallel(&config(jobs), four_bit_task, |_| false, None);
@@ -545,8 +551,8 @@ mod tests {
 
     #[test]
     fn stop_predicate_cancels_the_run() {
-        let outcome = explore_parallel(&config(2), four_bit_task, |p| p.value == 5, None);
-        assert!(outcome.paths.iter().any(|p| p.value == 5));
+        let outcome = explore_parallel(&config(2), four_bit_task, |p| p.value.0 == 5, None);
+        assert!(outcome.paths.iter().any(|p| p.value.0 == 5));
         assert!(outcome.frontier_exhausted, "forks were left unexplored");
     }
 
@@ -609,15 +615,15 @@ mod tests {
 
     impl ForkTask for ForkBits {
         type State = ForkBitsState;
-        type Out = u32;
+        type Out = Out;
 
         fn start(&self, _exec: &mut ForkExec) -> ForkBitsState {
             ForkBitsState { value: 0, bit: 0 }
         }
 
-        fn step(&self, state: &mut ForkBitsState, exec: &mut ForkExec) -> StepResult<u32> {
+        fn step(&self, state: &mut ForkBitsState, exec: &mut ForkExec) -> StepResult<Out> {
             if state.bit == 4 {
-                return StepResult::Done(state.value);
+                return StepResult::Done((state.value, model(exec)));
             }
             let x = exec.fresh_word("x");
             let field = exec.field(x, state.bit, state.bit);

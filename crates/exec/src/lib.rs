@@ -29,9 +29,9 @@
 //! before — so the set of explored paths, each path's status and its forks
 //! are pure functions of the exploration closure. Model *values* are the
 //! one history-dependent quantity (CDCL phase saving and branching
-//! activity), which is why the engine extracts test vectors and witnesses
-//! from a fresh solver per query (see
-//! [`Engine::run_prefix`](symcosim_symex::Engine::run_prefix)). Explored
+//! activity), which is why tasks extract witnesses from a fresh solver per
+//! query (see
+//! [`SymExec::stable_witness_vector`](symcosim_symex::SymExec::stable_witness_vector)). Explored
 //! decision vectors are pairwise prefix-free (a forked sibling always
 //! extends the point where its parent diverged), so the lexicographic
 //! order is total and canonical.

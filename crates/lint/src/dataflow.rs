@@ -131,7 +131,6 @@ pub fn analyze(merge: bool) -> DataflowReport {
         strategy: SearchStrategy::Dfs,
         max_paths: 4096,
         max_decisions_per_path: 4096,
-        emit_test_vectors: false,
         seed: 0xdf_0063,
         ..EngineConfig::default()
     });

@@ -80,7 +80,6 @@ pub fn analyze() -> IrReport {
         strategy: SearchStrategy::Dfs,
         max_paths: 4096,
         max_decisions_per_path: 4096,
-        emit_test_vectors: false,
         seed: 0x11e7,
         ..EngineConfig::default()
     });

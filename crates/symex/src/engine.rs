@@ -35,9 +35,6 @@ pub struct EngineConfig {
     pub max_paths: usize,
     /// Kill a path after this many symbolic decisions.
     pub max_decisions_per_path: usize,
-    /// Produce a [`TestVector`] for every finished path (one extra solver
-    /// call per path, like KLEE's test-case emission).
-    pub emit_test_vectors: bool,
     /// Seed for [`SearchStrategy::RandomPath`].
     pub seed: u64,
     /// Upper bound on copy-on-write snapshots resident in a
@@ -90,7 +87,6 @@ impl Default for EngineConfig {
             strategy: SearchStrategy::Dfs,
             max_paths: 100_000,
             max_decisions_per_path: 100_000,
-            emit_test_vectors: true,
             seed: 0x5eed_cafe,
             max_resident_snapshots: EngineConfig::DEFAULT_MAX_RESIDENT_SNAPSHOTS,
             solver_chain: true,
@@ -125,9 +121,6 @@ pub struct PathResult<R> {
     pub decisions: Vec<bool>,
     /// Number of path constraints collected.
     pub num_constraints: usize,
-    /// Concrete inputs reproducing this path, if emission is enabled and
-    /// the path is feasible.
-    pub test_vector: Option<TestVector>,
 }
 
 /// Aggregate result of an [`Engine::explore`] call.
@@ -323,9 +316,8 @@ impl Engine {
     /// frontier. Everything in the returned [`PrefixOutcome`] except the
     /// closure's own value is a pure function of `prefix` and the closure:
     /// feasibility answers are objective (independent of the persistent
-    /// solver's query history), and model extraction uses a fresh solver —
-    /// so two engines given the same prefix agree, whatever they ran
-    /// before.
+    /// solver's query history) — so two engines given the same prefix
+    /// agree, whatever they ran before.
     pub fn run_prefix<F, R>(&mut self, prefix: Vec<bool>, f: F) -> PrefixOutcome<R>
     where
         F: FnOnce(&mut SymExec<'_>) -> R,
@@ -345,31 +337,23 @@ impl Engine {
         };
         let value = f(&mut exec);
         // Debug builds re-validate the path condition after every path
-        // (node-local checks only; the full pass is SymExec::lint_path).
+        // (node-local checks only; the full pass is SymExec::lint_path)
+        // and re-solve it on a fresh solver.
         #[cfg(debug_assertions)]
-        crate::wf::debug_validate_path(exec.ctx, &exec.constraints);
-        let SymExec {
-            taken,
-            constraints,
-            forks,
-            path_symbols,
-            status,
-            ..
-        } = exec;
-        let test_vector = if self.config.emit_test_vectors && status != PathStatus::Infeasible {
-            self.model_for(&constraints, &path_symbols)
-        } else {
-            None
-        };
+        crate::solve::debug_check_path(
+            exec.ctx,
+            &exec.constraints,
+            &exec.path_symbols,
+            exec.status,
+        );
         PrefixOutcome {
             result: PathResult {
                 value,
-                status,
-                decisions: taken,
-                num_constraints: constraints.len(),
-                test_vector,
+                status: exec.status,
+                decisions: exec.taken,
+                num_constraints: exec.constraints.len(),
             },
-            forks,
+            forks: exec.forks,
         }
     }
 
@@ -389,15 +373,6 @@ impl Engine {
             }
         };
         Some(frontier.swap_remove(index))
-    }
-
-    fn model_for(&mut self, constraints: &[TermId], symbols: &[TermId]) -> Option<TestVector> {
-        // Deliberately a fresh solver, not the engine's persistent one: the
-        // persistent solver's models depend on its query history (phase
-        // saving, branching activity), while a fresh solve depends only on
-        // the path condition. Emitted vectors are therefore identical
-        // however paths are scheduled across engines/workers.
-        crate::solve::fresh_model_vector(&self.ctx, constraints, symbols)
     }
 }
 
@@ -729,20 +704,19 @@ mod tests {
             let x = exec.fresh_word("x");
             let ten = exec.const_word(10);
             let lt = exec.ult(x, ten);
-            exec.decide(lt)
+            let taken = exec.decide(lt);
+            (taken, exec.stable_witness_vector(&[]))
         });
         assert_eq!(outcome.paths.len(), 2);
         assert_eq!(outcome.complete_paths, 2);
-        let values: Vec<bool> = outcome.paths.iter().map(|p| p.value).collect();
+        let values: Vec<bool> = outcome.paths.iter().map(|p| p.value.0).collect();
         assert!(values.contains(&true) && values.contains(&false));
         // Test vectors respect the branch each path took.
         for path in &outcome.paths {
-            let vector = path
-                .test_vector
-                .as_ref()
-                .expect("feasible path has a vector");
+            let (taken, vector) = &path.value;
+            let vector = vector.as_ref().expect("feasible path has a vector");
             let x = vector.get("x").expect("x was an input");
-            assert_eq!(path.value, x < 10, "vector {vector} inconsistent with path");
+            assert_eq!(*taken, x < 10, "vector {vector} inconsistent with path");
         }
     }
 
@@ -971,24 +945,33 @@ mod tests {
     fn run_prefix_is_history_independent() {
         // The same prefix on a fresh engine and on an engine that explored
         // other paths first: identical result, forks and test vector.
+        let task = |exec: &mut SymExec<'_>| {
+            let value = three_bit_task(exec);
+            (
+                value,
+                exec.stable_witness_vector(&[]).map(|v| v.to_string()),
+            )
+        };
         let prefix = vec![true, false];
         let mut fresh = Engine::new(EngineConfig::default());
-        let baseline = fresh.run_prefix(prefix.clone(), three_bit_task);
+        let baseline = fresh.run_prefix(prefix.clone(), task);
 
         let mut warmed = Engine::new(EngineConfig::default());
-        warmed.run_prefix(Vec::new(), three_bit_task);
-        warmed.run_prefix(vec![false], three_bit_task);
-        let repeat = warmed.run_prefix(prefix, three_bit_task);
+        warmed.run_prefix(Vec::new(), task);
+        warmed.run_prefix(vec![false], task);
+        let repeat = warmed.run_prefix(prefix, task);
 
-        assert_eq!(repeat.result.value, baseline.result.value);
+        assert!(
+            baseline.result.value.1.is_some(),
+            "feasible path has a model"
+        );
+        assert_eq!(
+            repeat.result.value, baseline.result.value,
+            "values and models must be stable"
+        );
         assert_eq!(repeat.result.status, baseline.result.status);
         assert_eq!(repeat.result.decisions, baseline.result.decisions);
         assert_eq!(repeat.forks, baseline.forks);
-        let (a, b) = (
-            baseline.result.test_vector.expect("feasible"),
-            repeat.result.test_vector.expect("feasible"),
-        );
-        assert_eq!(a.to_string(), b.to_string(), "models must be stable");
     }
 
     #[test]

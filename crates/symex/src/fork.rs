@@ -491,6 +491,16 @@ impl ForkExec {
         }
     }
 
+    #[cfg(debug_assertions)]
+    fn debug_check_path(&self) {
+        crate::solve::debug_check_path(
+            &self.ctx,
+            &self.constraints,
+            &self.path_symbols,
+            self.status,
+        );
+    }
+
     fn begin_path<S>(&mut self, prefix: Vec<bool>, snapshot: Option<&Snapshot<S>>) {
         match snapshot {
             Some(snap) => {
@@ -1049,24 +1059,13 @@ impl ForkEngine {
             "task finished with unconsumed replay decisions"
         );
         #[cfg(debug_assertions)]
-        crate::wf::debug_validate_path(&self.exec.ctx, &self.exec.constraints);
+        self.exec.debug_check_path();
         let mut results = Vec::with_capacity(1 + self.exec.arms.len());
-        let test_vector =
-            if self.config.emit_test_vectors && self.exec.status != PathStatus::Infeasible {
-                crate::solve::fresh_model_vector(
-                    &self.exec.ctx,
-                    &self.exec.constraints,
-                    &self.exec.path_symbols,
-                )
-            } else {
-                None
-            };
         results.push(PathResult {
             value,
             status: self.exec.status,
             decisions: self.exec.taken.clone(),
             num_constraints: self.exec.constraints.len(),
-            test_vector,
         });
         // Expand every merged arm into its own record by swapping the
         // arm's ledger into the executor and re-deriving the value with
@@ -1088,23 +1087,13 @@ impl ForkEngine {
                 self.exec.taken = taken;
                 match task.expand_arm(final_state, &mut self.exec) {
                     Some(arm_value) => {
-                        let test_vector = if self.config.emit_test_vectors
-                            && self.exec.status != PathStatus::Infeasible
-                        {
-                            crate::solve::fresh_model_vector(
-                                &self.exec.ctx,
-                                &self.exec.constraints,
-                                &self.exec.path_symbols,
-                            )
-                        } else {
-                            None
-                        };
+                        #[cfg(debug_assertions)]
+                        self.exec.debug_check_path();
                         results.push(PathResult {
                             value: arm_value,
                             status: self.exec.status,
                             decisions: self.exec.taken.clone(),
                             num_constraints: self.exec.constraints.len(),
-                            test_vector,
                         });
                     }
                     None => {
@@ -1411,6 +1400,14 @@ mod tests {
     use super::*;
     use crate::{Engine, SymExec};
 
+    /// A task's value plus its path's model, extracted inside the task the
+    /// way the session extracts a finding's witness.
+    type Out = (u32, Option<String>);
+
+    fn model(exec: &mut impl PathProbe) -> Option<String> {
+        exec.stable_witness_vector(&[]).map(|v| v.to_string())
+    }
+
     /// Stepped twin of the re-execution tests' three-bit task: one
     /// decision per step over distinct bits of one symbol.
     struct BitTask {
@@ -1425,15 +1422,15 @@ mod tests {
 
     impl ForkTask for BitTask {
         type State = BitState;
-        type Out = u32;
+        type Out = Out;
 
         fn start(&self, _exec: &mut ForkExec) -> BitState {
             BitState { value: 0, bit: 0 }
         }
 
-        fn step(&self, state: &mut BitState, exec: &mut ForkExec) -> StepResult<u32> {
+        fn step(&self, state: &mut BitState, exec: &mut ForkExec) -> StepResult<Out> {
             if exec.is_dead() || state.bit >= self.bits {
-                return StepResult::Done(state.value);
+                return StepResult::Done((state.value, model(exec)));
             }
             let x = exec.fresh_word("x");
             let field = exec.field(x, state.bit, state.bit);
@@ -1447,7 +1444,7 @@ mod tests {
         }
     }
 
-    fn closure_bit_task(bits: u32) -> impl FnMut(&mut SymExec<'_>) -> u32 {
+    fn closure_bit_task(bits: u32) -> impl FnMut(&mut SymExec<'_>) -> Out {
         move |exec| {
             let x = exec.fresh_word("x");
             let mut value = 0u32;
@@ -1459,21 +1456,20 @@ mod tests {
                     value |= 1 << bit;
                 }
             }
-            value
+            (value, model(exec))
         }
     }
 
-    fn fingerprint(paths: &[PathResult<u32>]) -> Vec<String> {
+    fn fingerprint(paths: &[PathResult<Out>]) -> Vec<String> {
         paths
             .iter()
             .map(|p| {
                 format!(
-                    "{:?}|{:?}|{}|{}|{:?}",
+                    "{:?}|{:?}|{}|{}",
                     p.value,
                     p.decisions,
                     p.num_constraints,
                     p.status == PathStatus::Complete,
-                    p.test_vector.as_ref().map(|v| v.to_string())
                 )
             })
             .collect()
@@ -1538,7 +1534,11 @@ mod tests {
         let (mut repeats, repeat_forks) = warmed.run_job(ForkJob::from_prefix(prefix), &task);
         let repeat = repeats.pop().expect("one record");
 
-        assert_eq!(repeat.value, baseline.value);
+        assert!(baseline.value.1.is_some(), "feasible path has a model");
+        assert_eq!(
+            repeat.value, baseline.value,
+            "values and models must be stable"
+        );
         assert_eq!(repeat.status, baseline.status);
         assert_eq!(repeat.decisions, baseline.decisions);
         let (a, b): (Vec<_>, Vec<_>) = (
@@ -1546,10 +1546,6 @@ mod tests {
             repeat_forks.iter().map(|j| j.prefix().to_vec()).collect(),
         );
         assert_eq!(a, b);
-        assert_eq!(
-            baseline.test_vector.expect("feasible").to_string(),
-            repeat.test_vector.expect("feasible").to_string(),
-        );
     }
 
     struct AssumeTask;
@@ -1641,7 +1637,7 @@ mod tests {
 
     impl ForkTask for DecodeTask {
         type State = DecodeState;
-        type Out = u32;
+        type Out = Out;
 
         fn start(&self, _exec: &mut ForkExec) -> DecodeState {
             DecodeState {
@@ -1651,9 +1647,9 @@ mod tests {
             }
         }
 
-        fn step(&self, state: &mut DecodeState, exec: &mut ForkExec) -> StepResult<u32> {
+        fn step(&self, state: &mut DecodeState, exec: &mut ForkExec) -> StepResult<Out> {
             if exec.is_dead() {
-                return StepResult::Done(state.value);
+                return StepResult::Done((state.value, model(exec)));
             }
             match state.step {
                 0 => {
@@ -1683,7 +1679,7 @@ mod tests {
                         state.value = if exec.decide(is_zero) { 1 } else { 2 };
                     }
                 }
-                _ => return StepResult::Done(state.value),
+                _ => return StepResult::Done((state.value, model(exec))),
             }
             state.step += 1;
             StepResult::Continue
@@ -1697,14 +1693,16 @@ mod tests {
             a == b
         }
 
-        fn expand_arm(&self, state: &DecodeState, _exec: &mut ForkExec) -> Option<u32> {
-            Some(state.value)
+        fn expand_arm(&self, state: &DecodeState, exec: &mut ForkExec) -> Option<Out> {
+            // The executor carries the arm's own ledger here, so the arm's
+            // model comes from its own path condition.
+            Some((state.value, model(exec)))
         }
     }
 
     /// Canonical (decision-sorted) fingerprint: merging changes the order
     /// paths complete in, never their records.
-    fn sorted_fingerprint(paths: &[PathResult<u32>]) -> Vec<String> {
+    fn sorted_fingerprint(paths: &[PathResult<Out>]) -> Vec<String> {
         let mut paths = paths.to_vec();
         paths.sort_by(|a, b| a.decisions.cmp(&b.decisions));
         fingerprint(&paths)

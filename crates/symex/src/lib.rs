@@ -9,8 +9,8 @@
 //!   CDCL solver,
 //! * [`Engine`] — path exploration by deterministic re-execution: every
 //!   branch on symbolic data forks the path, path constraints are checked
-//!   for feasibility incrementally, and each completed path can produce a
-//!   concrete [`TestVector`] (KLEE's `.ktest` equivalent),
+//!   for feasibility incrementally, and a path can extract a concrete
+//!   [`TestVector`] (KLEE's `.ktest` equivalent) from a fresh solver,
 //! * [`ForkEngine`] — the same exploration by KLEE-style copy-on-write
 //!   snapshot forking: a stepped [`ForkTask`] is cloned at decision points
 //!   instead of re-run, with a spill-to-replay memory bound,

@@ -466,7 +466,7 @@ impl SolverBackend {
 }
 
 /// Solves `conditions` on a *fresh* backend and extracts a test vector for
-/// `extra_symbols` plus every path symbol in the conditions.
+/// `symbols`.
 ///
 /// Using a throw-away solver makes the extracted model independent of query
 /// history, so the same path yields the same vector no matter which engine
@@ -488,6 +488,25 @@ pub(crate) fn fresh_model_vector(
         vector.push(name, width, value);
     }
     Some(vector)
+}
+
+/// Debug-build checks of a finished path: the node-local
+/// [`debug_validate_path`](crate::wf::debug_validate_path) pass, and a
+/// model on a fresh solver unless the path ended infeasible — the
+/// session's test-vector count relies on every other path having one.
+#[cfg(debug_assertions)]
+pub(crate) fn debug_check_path(
+    ctx: &Context,
+    conditions: &[TermId],
+    symbols: &[TermId],
+    status: crate::PathStatus,
+) {
+    crate::wf::debug_validate_path(ctx, conditions);
+    assert!(
+        status == crate::PathStatus::Infeasible
+            || fresh_model_vector(ctx, conditions, symbols).is_some(),
+        "a {status:?} path has an unsatisfiable path condition"
+    );
 }
 
 /// Solves `conditions` on a fresh backend and evaluates `term` in the

@@ -123,6 +123,11 @@ echo "==> frozen goldens (audited BRANCH sweep bytes == pre-incremental core)"
 # the goldens frozen before the solver surgery (see tests/core_goldens.rs).
 cargo test -q --test core_goldens
 
+echo "==> e2e benchmark smoke (metric contract + pinned report digests)"
+# The benchmark is a package of its own, outside the workspace, so the
+# workspace test run above does not build it.
+cargo test --release --manifest-path e2e-bench/Cargo.toml
+
 echo "==> pathengine --smoke (informational, non-gating)"
 cargo run --release -p symcosim-bench --bin pathengine -- --smoke
 
