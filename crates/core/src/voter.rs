@@ -3,7 +3,7 @@
 use std::fmt;
 
 use symcosim_rtl::RvfiRecord;
-use symcosim_symex::{ConcreteDomain, Domain, PathProbe};
+use symcosim_symex::{ConcreteDomain, Domain, Node, PathProbe, TermId};
 
 /// Which architectural observation disagreed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,6 +89,26 @@ pub trait Judge<D: Domain> {
     fn possibly_true(&mut self, dom: &mut D, cond: D::Bool) -> bool;
     /// Pins `cond` (already known possible) into the path condition.
     fn commit(&mut self, dom: &mut D, cond: D::Bool);
+
+    /// `word` as `ite(cond, then, else)`, when the domain keeps term
+    /// structure and `word` has that shape. The concrete domain has no
+    /// structure, so the default is `None`.
+    fn ite_view(&self, _dom: &D, _word: D::Word) -> Option<(D::Bool, D::Word, D::Word)> {
+        None
+    }
+
+    /// `cond` as `word == value` for a constant `value`; `None` as for
+    /// [`Judge::ite_view`].
+    fn eq_const_view(&self, _dom: &D, _cond: D::Bool) -> Option<(D::Word, u32)> {
+        None
+    }
+
+    /// Debug builds: [`Judge::possibly_true`] asked as it is, with no
+    /// query rewrite. The voter checks its congruence skips against it.
+    #[cfg(debug_assertions)]
+    fn reference_possibly_true(&mut self, dom: &mut D, cond: D::Bool) -> bool {
+        self.possibly_true(dom, cond)
+    }
 }
 
 /// Concrete-domain judge: conditions are plain booleans.
@@ -112,12 +132,35 @@ impl Judge<ConcreteDomain> for ConcreteJudge {
 pub struct SymbolicJudge;
 
 impl<D: PathProbe> Judge<D> for SymbolicJudge {
-    fn possibly_true(&mut self, dom: &mut D, cond: symcosim_symex::TermId) -> bool {
+    fn possibly_true(&mut self, dom: &mut D, cond: TermId) -> bool {
         dom.check_sat(cond)
     }
 
-    fn commit(&mut self, dom: &mut D, cond: symcosim_symex::TermId) {
+    fn commit(&mut self, dom: &mut D, cond: TermId) {
         dom.add_constraint(cond);
+    }
+
+    fn ite_view(&self, dom: &D, word: TermId) -> Option<(TermId, TermId, TermId)> {
+        match dom.node(word) {
+            Node::Ite(cond, then_w, else_w) => Some((cond, then_w, else_w)),
+            _ => None,
+        }
+    }
+
+    fn eq_const_view(&self, dom: &D, cond: TermId) -> Option<(TermId, u32)> {
+        let Node::Eq(a, b) = dom.node(cond) else {
+            return None;
+        };
+        match (dom.word_value(a), dom.word_value(b)) {
+            (None, Some(value)) => Some((a, value)),
+            (Some(value), None) => Some((b, value)),
+            _ => None,
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    fn reference_possibly_true(&mut self, dom: &mut D, cond: TermId) -> bool {
+        dom.reference_sat(cond)
     }
 }
 
@@ -196,6 +239,8 @@ impl Voter {
             }
         }
 
+        // Set once the path has proved both `rd` fields equal.
+        let mut rd_proven = false;
         if self.compare_rd && !core_retire.trap {
             let ne = dom.ne_w(core_retire.rd_addr, iss_retire.rd_addr);
             if judge.possibly_true(dom, ne) {
@@ -213,11 +258,24 @@ impl Voter {
                     instr_index,
                 });
             }
+            rd_proven = true;
         }
 
         if self.compare_regfile {
             for index in 1..32 {
-                let ne = dom.ne_w(core_regs[index], iss_regs[index]);
+                let (core_reg, iss_reg) = (core_regs[index], iss_regs[index]);
+                let ne = dom.ne_w(core_reg, iss_reg);
+                if dom.bool_value(ne).is_none()
+                    && rd_proven
+                    && write_congruent(dom, judge, core_retire, iss_retire, core_reg, iss_reg)
+                {
+                    #[cfg(debug_assertions)]
+                    assert!(
+                        !judge.reference_possibly_true(dom, ne),
+                        "register congruence skipped a satisfiable miter at x{index}"
+                    );
+                    continue;
+                }
                 if judge.possibly_true(dom, ne) {
                     judge.commit(dom, ne);
                     return Some(Mismatch {
@@ -259,9 +317,63 @@ impl Voter {
     }
 }
 
+/// Register congruence: whether a register is equal in both models by
+/// what the path has already proved, once the `rd_addr` and `rd_wdata`
+/// miters are unsatisfiable.
+///
+/// Both models write rd as `ite(rd == i, v, old)` and report the write as
+/// `ite(rd == 0, 0, v)`. When the two register terms share the guard
+/// `rd == i` (i ≥ 1, `rd` the core's reported index) and the `old` term,
+/// they can only differ where `rd == i`. There `rd ≠ 0`, in both models
+/// because the reported indices are proven equal, so the reported values
+/// are the written ones, and those are proven equal.
+fn write_congruent<D, J>(
+    dom: &D,
+    judge: &J,
+    core_retire: &RvfiRecord<D::Word>,
+    iss_retire: &RvfiRecord<D::Word>,
+    core_reg: D::Word,
+    iss_reg: D::Word,
+) -> bool
+where
+    D: Domain,
+    J: Judge<D>,
+{
+    let (Some((guard, core_value, old)), Some((iss_guard, iss_value, iss_old))) =
+        (judge.ite_view(dom, core_reg), judge.ite_view(dom, iss_reg))
+    else {
+        return false;
+    };
+    let guard_selects_rd = matches!(
+        judge.eq_const_view(dom, guard),
+        Some((rd, i)) if i != 0 && rd == core_retire.rd_addr
+    );
+    guard == iss_guard
+        && old == iss_old
+        && guard_selects_rd
+        && reports_write(dom, judge, core_retire, core_value)
+        && reports_write(dom, judge, iss_retire, iss_value)
+}
+
+/// Whether `retire` reports `value` as its rd write: `rd_wdata` is
+/// `ite(rd_addr == 0, 0, value)`.
+fn reports_write<D, J>(dom: &D, judge: &J, retire: &RvfiRecord<D::Word>, value: D::Word) -> bool
+where
+    D: Domain,
+    J: Judge<D>,
+{
+    let Some((is_x0, zero, written)) = judge.ite_view(dom, retire.rd_wdata) else {
+        return false;
+    };
+    written == value
+        && dom.word_value(zero) == Some(0)
+        && judge.eq_const_view(dom, is_x0) == Some((retire.rd_addr, 0))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use symcosim_symex::{Engine, EngineConfig, SymExec};
 
     fn record(pc_wdata: u32, rd_addr: u32, rd_wdata: u32, trap: Option<u32>) -> RvfiRecord<u32> {
         RvfiRecord {
@@ -406,6 +518,136 @@ mod tests {
         assert!(voter
             .compare_memory(&mut dom, &mut ConcreteJudge, 5, &a, &a)
             .is_none());
+    }
+
+    /// Both models' register write and `rd` report, as they build them:
+    /// `ite(rd == i, value, old)` per register and `ite(rd == 0, 0, value)`.
+    fn symbolic_retire(
+        exec: &mut SymExec<'_>,
+        rd: TermId,
+        value: TermId,
+        old: &[TermId; 32],
+    ) -> (RvfiRecord<TermId>, [TermId; 32]) {
+        let mut regs = *old;
+        for (i, reg) in regs.iter_mut().enumerate().skip(1) {
+            let hit = exec.eq_const(rd, i as u32);
+            *reg = exec.ite(hit, value, *reg);
+        }
+        let zero = exec.const_word(0);
+        let is_x0 = exec.eq_const(rd, 0);
+        let rd_wdata = exec.ite(is_x0, zero, value);
+        let pc_wdata = exec.const_word(4);
+        let record = RvfiRecord {
+            valid: true,
+            order: 0,
+            insn: zero,
+            trap: false,
+            trap_cause: None,
+            pc_rdata: zero,
+            pc_wdata,
+            rd_addr: rd,
+            rd_wdata,
+        };
+        (record, regs)
+    }
+
+    /// The symbolic judge, counting the miters that reach the solver.
+    #[derive(Default)]
+    struct CountingJudge {
+        asked: usize,
+    }
+
+    impl<D: PathProbe> Judge<D> for CountingJudge {
+        fn possibly_true(&mut self, dom: &mut D, cond: TermId) -> bool {
+            if dom.bool_value(cond).is_none() {
+                self.asked += 1;
+            }
+            SymbolicJudge.possibly_true(dom, cond)
+        }
+
+        fn commit(&mut self, dom: &mut D, cond: TermId) {
+            SymbolicJudge.commit(dom, cond);
+        }
+
+        fn ite_view(&self, dom: &D, word: TermId) -> Option<(TermId, TermId, TermId)> {
+            SymbolicJudge.ite_view(dom, word)
+        }
+
+        fn eq_const_view(&self, dom: &D, cond: TermId) -> Option<(TermId, u32)> {
+            SymbolicJudge.eq_const_view(dom, cond)
+        }
+
+        #[cfg(debug_assertions)]
+        fn reference_possibly_true(&mut self, dom: &mut D, cond: TermId) -> bool {
+            self.asked += 1;
+            SymbolicJudge.reference_possibly_true(dom, cond)
+        }
+    }
+
+    /// Votes one symbolic retirement over a symbolic `rd` and symbolic
+    /// registers. `values` gives the core's and the ISS's written value
+    /// from `x1`; `iss_old` may replace the ISS's old register terms.
+    /// Returns the mismatch and the number of solver queries.
+    fn symbolic_vote(
+        values: fn(&mut SymExec<'_>, TermId) -> (TermId, TermId),
+        iss_old: fn(&mut SymExec<'_>, &mut [TermId; 32]),
+    ) -> (Option<MismatchKind>, usize) {
+        let mut engine = Engine::new(EngineConfig::default());
+        let outcome = engine.explore(|exec| {
+            let insn = exec.fresh_word("insn");
+            let rd = exec.field(insn, 11, 7);
+            let mut old = [exec.const_word(0); 32];
+            for (i, reg) in old.iter_mut().enumerate().skip(1) {
+                *reg = exec.fresh_word(&format!("x{i}"));
+            }
+            let (core_value, iss_value) = values(exec, old[1]);
+            let (core, core_regs) = symbolic_retire(exec, rd, core_value, &old);
+            iss_old(exec, &mut old);
+            let (iss, iss_regs) = symbolic_retire(exec, rd, iss_value, &old);
+            let mut judge = CountingJudge::default();
+            let mismatch =
+                Voter::new().compare_step(exec, &mut judge, 0, &core, &iss, &core_regs, &iss_regs);
+            (mismatch.map(|m| m.kind), judge.asked)
+        });
+        assert_eq!(outcome.paths.len(), 1, "the vote does not fork");
+        outcome.paths[0].value.clone()
+    }
+
+    #[test]
+    fn congruent_registers_are_equal_without_a_query() {
+        // `x1 + x1` and `x1 << 1` are different terms with one value: the
+        // `rd_wdata` miter is the only one the solver sees. Debug builds
+        // re-ask each of the 31 skipped register miters.
+        let (mismatch, asked) = symbolic_vote(
+            |exec, x| {
+                let doubled = exec.add(x, x);
+                (doubled, exec.shl_const(x, 1))
+            },
+            |_, _| {},
+        );
+        assert_eq!(mismatch, None);
+        assert_eq!(asked, if cfg!(debug_assertions) { 32 } else { 1 });
+    }
+
+    #[test]
+    fn a_differing_written_value_is_still_reported() {
+        let (mismatch, _) = symbolic_vote(
+            |exec, x| {
+                let one = exec.const_word(1);
+                (x, exec.add(x, one))
+            },
+            |_, _| {},
+        );
+        assert_eq!(mismatch, Some(MismatchKind::RdValueMismatch));
+    }
+
+    #[test]
+    fn a_register_whose_old_terms_differ_is_still_reported() {
+        // Same guard, same written value, different `old`: the rule must
+        // not fire, and the solver finds `rd != 5` with `x5 != y5`.
+        let (mismatch, _) =
+            symbolic_vote(|_, x| (x, x), |exec, old| old[5] = exec.fresh_word("y5"));
+        assert_eq!(mismatch, Some(MismatchKind::RegFileMismatch { index: 5 }));
     }
 
     #[test]

@@ -433,6 +433,33 @@ impl Context {
         }
     }
 
+    /// Builds `node` through the simplifying constructor of its kind (a
+    /// symbol must already exist).
+    pub(crate) fn make(&mut self, node: Node) -> TermId {
+        match node {
+            Node::Const { width, value } => self.constant(width, value),
+            Node::Symbol { width, .. } => self.intern(node, width),
+            Node::Not(a) => self.not(a),
+            Node::And(a, b) => self.and(a, b),
+            Node::Or(a, b) => self.or(a, b),
+            Node::Xor(a, b) => self.xor(a, b),
+            Node::Add(a, b) => self.add(a, b),
+            Node::Sub(a, b) => self.sub(a, b),
+            Node::Mul(a, b) => self.mul(a, b),
+            Node::Shl(a, b) => self.shl(a, b),
+            Node::Lshr(a, b) => self.lshr(a, b),
+            Node::Ashr(a, b) => self.ashr(a, b),
+            Node::Eq(a, b) => self.eq(a, b),
+            Node::Ult(a, b) => self.ult(a, b),
+            Node::Slt(a, b) => self.slt(a, b),
+            Node::Ite(c, a, b) => self.ite(c, a, b),
+            Node::Extract { term, hi, lo } => self.extract(term, hi, lo),
+            Node::Concat { hi, lo } => self.concat(hi, lo),
+            Node::ZeroExt { term, width } => self.zero_ext(term, width),
+            Node::SignExt { term, width } => self.sign_ext(term, width),
+        }
+    }
+
     /// Boolean negation (width-1 terms).
     pub fn not_bool(&mut self, a: TermId) -> TermId {
         assert_eq!(self.width(a), 1, "not_bool needs a width-1 term");

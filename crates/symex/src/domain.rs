@@ -17,9 +17,9 @@
 /// forks the path.
 pub trait Domain {
     /// 32-bit machine word.
-    type Word: Copy + std::fmt::Debug;
+    type Word: Copy + PartialEq + std::fmt::Debug;
     /// Single-bit truth value.
-    type Bool: Copy + std::fmt::Debug;
+    type Bool: Copy + PartialEq + std::fmt::Debug;
 
     /// Embeds a concrete constant.
     fn const_word(&mut self, value: u32) -> Self::Word;

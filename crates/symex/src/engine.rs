@@ -10,7 +10,7 @@
 //! because co-simulation paths are bounded to one or two instructions.
 
 use crate::solve::SolverBackend;
-use crate::term::TermId;
+use crate::term::{Node, TermId};
 use crate::{Context, Domain, TestVector};
 
 /// Frontier discipline for pending paths.
@@ -188,6 +188,7 @@ pub struct Engine {
     config: EngineConfig,
     rng_state: u64,
     projector: crate::project::Projector,
+    lanes: crate::lanes::LaneRewriter,
 }
 
 impl Engine {
@@ -202,6 +203,7 @@ impl Engine {
             config: config.clone(),
             rng_state: config.seed | 1,
             projector: crate::project::Projector::new(),
+            lanes: crate::lanes::LaneRewriter::default(),
         }
     }
 
@@ -334,6 +336,7 @@ impl Engine {
             status: PathStatus::Complete,
             max_decisions: self.config.max_decisions_per_path,
             projector: &mut self.projector,
+            lanes: &mut self.lanes,
         };
         let value = f(&mut exec);
         // Debug builds re-validate the path condition after every path
@@ -395,6 +398,7 @@ pub struct SymExec<'e> {
     status: PathStatus,
     max_decisions: usize,
     projector: &'e mut crate::project::Projector,
+    lanes: &'e mut crate::lanes::LaneRewriter,
 }
 
 impl SymExec<'_> {
@@ -408,11 +412,39 @@ impl SymExec<'_> {
         &self.constraints
     }
 
+    /// The node behind `term`.
+    pub fn node(&self, term: TermId) -> Node {
+        self.ctx.node(term)
+    }
+
     /// Whether `cond` is satisfiable together with the path condition —
     /// *without* committing to it.
     ///
     /// This is the voter's primitive: "can the two models disagree here?".
+    ///
+    /// A query that does not fold is first rebuilt with the lane constants
+    /// the path forces (see [`crate::lanes`]).
     pub fn check_sat(&mut self, cond: TermId) -> bool {
+        if let Some(value) = self.ctx.const_value(cond) {
+            return value == 1;
+        }
+        let facts = crate::lanes::forced_lanes(self.ctx, &self.constraints);
+        let query = self.lanes.rewrite(self.ctx, facts, cond);
+        let sat = self.path_sat(query);
+        #[cfg(debug_assertions)]
+        if query != cond {
+            assert_eq!(
+                self.path_sat(cond),
+                sat,
+                "a lane-constant rewrite changed a query's answer"
+            );
+        }
+        sat
+    }
+
+    /// [`SymExec::check_sat`] without the lane rewrite. Debug builds check
+    /// rewritten answers and the voter's skipped miters against it.
+    pub(crate) fn path_sat(&mut self, cond: TermId) -> bool {
         if let Some(value) = self.ctx.const_value(cond) {
             return value == 1;
         }

@@ -29,7 +29,7 @@ use std::sync::Arc;
 use crate::engine::{EngineConfig, ExploreOutcome, PathResult, PathStatus, SearchStrategy};
 use crate::probe::PathProbe;
 use crate::solve::SolverBackend;
-use crate::term::TermId;
+use crate::term::{Node, TermId};
 use crate::wf::WfIssue;
 use crate::{Context, Domain, TestVector};
 
@@ -284,6 +284,7 @@ pub struct ForkExec {
     abandoned: bool,
     max_decisions: usize,
     projector: crate::project::Projector,
+    lanes: crate::lanes::LaneRewriter,
 }
 
 /// Saved per-path bookkeeping of a [`ForkExec`], so the engine can run a
@@ -319,6 +320,7 @@ impl ForkExec {
             abandoned: false,
             max_decisions,
             projector: crate::project::Projector::new(),
+            lanes: crate::lanes::LaneRewriter::default(),
         }
     }
 
@@ -389,10 +391,43 @@ impl ForkExec {
         &self.constraints
     }
 
+    /// The node behind `term`.
+    pub fn node(&self, term: TermId) -> Node {
+        self.ctx.node(term)
+    }
+
     /// Whether `cond` is satisfiable together with the path condition —
     /// *without* committing to it (see
     /// [`SymExec::check_sat`](crate::SymExec::check_sat)).
+    ///
+    /// A query that does not fold is first rebuilt with the lane constants
+    /// the path forces (see [`crate::lanes`]); on a merged path, only
+    /// those every arm forces.
     pub fn check_sat(&mut self, cond: TermId) -> bool {
+        if let Some(value) = self.ctx.const_value(cond) {
+            return value == 1;
+        }
+        let mut facts = crate::lanes::forced_lanes(&self.ctx, &self.constraints);
+        for arm in &self.arms {
+            let arm_facts = crate::lanes::forced_lanes(&self.ctx, &arm.constraints);
+            facts.retain(|fact| arm_facts.contains(fact));
+        }
+        let query = self.lanes.rewrite(&mut self.ctx, facts, cond);
+        let sat = self.path_sat(query);
+        #[cfg(debug_assertions)]
+        if query != cond {
+            assert_eq!(
+                self.path_sat(cond),
+                sat,
+                "a lane-constant rewrite changed a query's answer"
+            );
+        }
+        sat
+    }
+
+    /// [`ForkExec::check_sat`] without the lane rewrite. Debug builds
+    /// check rewritten answers and the voter's skipped miters against it.
+    fn path_sat(&mut self, cond: TermId) -> bool {
         if let Some(value) = self.ctx.const_value(cond) {
             return value == 1;
         }
@@ -798,6 +833,15 @@ impl Domain for ForkExec {
 impl PathProbe for ForkExec {
     fn constraints(&self) -> &[TermId] {
         ForkExec::constraints(self)
+    }
+
+    fn node(&self, term: TermId) -> Node {
+        ForkExec::node(self, term)
+    }
+
+    #[cfg(debug_assertions)]
+    fn reference_sat(&mut self, cond: TermId) -> bool {
+        self.path_sat(cond)
     }
 
     fn check_sat(&mut self, cond: TermId) -> bool {

@@ -63,6 +63,7 @@ mod domain;
 mod engine;
 mod eval;
 mod fork;
+mod lanes;
 pub mod merge;
 mod probe;
 mod project;

@@ -9,7 +9,7 @@
 //! ([`ForkExec`](crate::ForkExec)).
 
 use crate::project::SlotCoverage;
-use crate::term::TermId;
+use crate::term::{Node, TermId};
 use crate::wf::WfIssue;
 use crate::{Domain, SymExec, TestVector};
 
@@ -21,6 +21,17 @@ use crate::{Domain, SymExec, TestVector};
 pub trait PathProbe: Domain<Word = TermId, Bool = TermId> {
     /// The constraints accumulated on this path so far.
     fn constraints(&self) -> &[TermId];
+
+    /// The node behind `term`: the structural view a harness matches
+    /// against (the voter's register-congruence rule reads `ite` and
+    /// `== constant` shapes through it).
+    fn node(&self, term: TermId) -> Node;
+
+    /// Debug builds: [`PathProbe::check_sat`] asked as it is, with no
+    /// query rewrite. The reference that rewritten answers and the
+    /// voter's skipped miters are checked against.
+    #[cfg(debug_assertions)]
+    fn reference_sat(&mut self, cond: TermId) -> bool;
 
     /// Whether `cond` is satisfiable together with the path condition —
     /// *without* committing to it.
@@ -60,6 +71,15 @@ impl PathProbe for SymExec<'_> {
         // Inherent methods win over trait methods in resolution, so these
         // delegations do not recurse.
         SymExec::constraints(self)
+    }
+
+    fn node(&self, term: TermId) -> Node {
+        SymExec::node(self, term)
+    }
+
+    #[cfg(debug_assertions)]
+    fn reference_sat(&mut self, cond: TermId) -> bool {
+        self.path_sat(cond)
     }
 
     fn check_sat(&mut self, cond: TermId) -> bool {

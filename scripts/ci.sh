@@ -8,6 +8,9 @@ echo "==> cargo build --release"
 cargo build --release
 
 echo "==> cargo test -q --workspace"
+# The root package is a workspace member, so this also runs every file
+# under tests/: the merge, chain and audit equivalence gates and the
+# frozen goldens (tests/core_goldens.rs).
 cargo test -q --workspace
 
 echo "==> symcosim-lint --all --json"
@@ -74,9 +77,6 @@ rm -f "$merge_on_json" "$merge_off_json"
 cargo run --release -p symcosim-core --bin symcosim-cli -- \
     verify --rv32i-only --opcode 0x63 --limit 4 --paths 300 > /dev/null
 
-echo "==> merge equivalence (merged == unmerged reports and certificates)"
-cargo test -q --test merge_equivalence
-
 echo "==> serve smoke (daemon round-trip: audited submit, merge, certify, shutdown)"
 # Boot the daemon on an ephemeral port, submit a sharded audited BRANCH
 # job over localhost, verify the merged certificate the service hands
@@ -110,18 +110,6 @@ grep -q '"schema": "symcosim-cert/1"' "$serve_dir/cert"
 grep -q '"verdict": "complete"' "$serve_dir/cert"
 serve_client shutdown > /dev/null
 wait "$serve_pid"
-
-echo "==> solver-chain equivalence (chain on == chain off, all engines)"
-cargo test -q --test chain_equivalence
-
-echo "==> proof-audit equivalence (audit on == audit off, all engines)"
-cargo test -q --test audit_equivalence
-
-echo "==> frozen goldens (audited BRANCH sweep bytes == pre-incremental core)"
-# The incremental core may only change how answers are computed, never
-# what is explored or certified: report and certificate bytes must match
-# the goldens frozen before the solver surgery (see tests/core_goldens.rs).
-cargo test -q --test core_goldens
 
 echo "==> e2e benchmark smoke (metric contract + pinned report digests)"
 # The benchmark is a package of its own, outside the workspace, so the
