@@ -12,12 +12,10 @@
 
 use std::time::Instant;
 
-use symcosim_bench::RunOpts;
 use symcosim_core::{SessionConfig, VerifySession};
 use symcosim_microrv32::InjectedError;
 
 fn main() {
-    let opts = RunOpts::from_args();
     let windows = [0usize, 1, 2, 4, 8, 16, 31];
 
     println!("sliced symbolic registers ablation — detecting E4 (SUB stuck-at-0 MSB)\n");
@@ -31,7 +29,6 @@ fn main() {
         let mut config = SessionConfig::rv32i_only();
         config.inject = Some(InjectedError::E4SubStuckAt0Msb);
         config.symbolic_regs = window;
-        opts.apply(&mut config);
         let start = Instant::now();
         let report = VerifySession::new(config)
             .expect("valid configuration")

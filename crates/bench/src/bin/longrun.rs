@@ -32,7 +32,6 @@ fn main() {
     config.instr_limit = 2;
     config.cycle_limit = 128;
     config.max_paths = budget;
-    opts.apply(&mut config);
 
     println!("comprehensive exploration (instruction limit 2, path budget {budget})\n");
     let start = Instant::now();

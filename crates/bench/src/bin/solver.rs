@@ -32,7 +32,7 @@ use std::time::Instant;
 
 use symcosim_bench::{bench_out_path, BENCH_SCHEMA};
 use symcosim_core::json::{self, JsonWriter};
-use symcosim_core::{EngineKind, InstrConstraint, SessionConfig, VerifyReport, VerifySession};
+use symcosim_core::{InstrConstraint, SessionConfig, VerifyReport, VerifySession};
 use symcosim_isa::opcodes;
 
 struct Measurement {
@@ -69,7 +69,6 @@ fn sweep_config(
     config.instr_limit = INSTR_LIMIT;
     config.cycle_limit = 64 * u64::from(INSTR_LIMIT);
     config.max_paths = max_paths;
-    config.engine = EngineKind::Fork;
     config.solver_chain = chain;
     config.incremental = incremental;
     config.preflight = preflight;

@@ -23,8 +23,7 @@ use symcosim_core::{
     Finding, FindingClass, InstrConstraint, SessionConfig, VerifyReport, VerifySession,
 };
 
-fn run_phase(mut config: SessionConfig, opts: RunOpts) -> VerifyReport {
-    opts.apply(&mut config);
+fn run_phase(config: SessionConfig, opts: RunOpts) -> VerifyReport {
     run_session(
         VerifySession::new(config).expect("valid configuration"),
         opts,

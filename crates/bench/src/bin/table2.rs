@@ -35,7 +35,6 @@ fn run_one(error: InjectedError, instr_limit: u32, opts: RunOpts) -> Row {
         // preserving completeness.
         config.strategy = symcosim_symex::SearchStrategy::Bfs;
     }
-    opts.apply(&mut config);
     let start = Instant::now();
     let session = VerifySession::new(config).expect("valid configuration");
     let report = run_session(session, opts);
@@ -130,8 +129,16 @@ fn main() {
         );
     }
     println!();
+    let verdict = |holds: bool| if holds { "holds" } else { "FAILS" };
+    println!("\nShape checks vs the paper:");
     println!(
-        "\nShape checks vs the paper: every error found under both limits; \
-         limit 1 is cheaper than limit 2 in total time."
+        "  every error found under both limits: {}",
+        verdict(all_found[0] && all_found[1])
+    );
+    println!(
+        "  limit 1 is cheaper than limit 2 in total time ({} s vs {} s): {}",
+        fmt_secs(std::time::Duration::from_millis(sums[0][1])),
+        fmt_secs(std::time::Duration::from_millis(sums[1][1])),
+        verdict(sums[0][1] < sums[1][1])
     );
 }

@@ -25,7 +25,7 @@ use std::path::PathBuf;
 use std::sync::mpsc;
 use std::thread;
 
-use symcosim_core::{EngineKind, ProgressEvent, SessionConfig, VerifyReport, VerifySession};
+use symcosim_core::{ProgressEvent, VerifyReport, VerifySession};
 
 /// Schema identifier of the `BENCH_*.json` documents the benchmark bins
 /// emit. Every document opens with the shared
@@ -34,15 +34,12 @@ use symcosim_core::{EngineKind, ProgressEvent, SessionConfig, VerifyReport, Veri
 pub const BENCH_SCHEMA: &str = "symcosim-bench/1";
 
 /// Parallelism options the table bins share: `--jobs N` selects the
-/// worker count (default 1, the sequential engine), `--engine
-/// fork|reexec` overrides the path engine, and `--progress-json` streams
-/// one structured progress event per line on stderr.
+/// worker count (default 1, the sequential engine) and `--progress-json`
+/// streams one structured progress event per line on stderr.
 #[derive(Debug, Clone, Copy)]
 pub struct RunOpts {
     /// Worker threads; 1 runs the classic sequential engine.
     pub jobs: usize,
-    /// Path-engine override; `None` keeps the session default (fork).
-    pub engine: Option<EngineKind>,
     /// Stream JSON progress events on stderr.
     pub progress_json: bool,
 }
@@ -58,22 +55,9 @@ impl RunOpts {
             .and_then(|i| args.get(i + 1))
             .and_then(|v| v.parse().ok())
             .unwrap_or(1);
-        let engine = args
-            .iter()
-            .position(|a| a == "--engine")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| EngineKind::parse(v));
         RunOpts {
             jobs: usize::max(jobs, 1),
-            engine,
             progress_json: args.iter().any(|a| a == "--progress-json"),
-        }
-    }
-
-    /// Applies the path-engine override to a session configuration.
-    pub fn apply(&self, config: &mut SessionConfig) {
-        if let Some(engine) = self.engine {
-            config.engine = engine;
         }
     }
 }

@@ -13,8 +13,8 @@ use std::io::{ErrorKind, IsTerminal, Read, Write};
 
 use symcosim_core::fuzz::{self, FuzzConfig};
 use symcosim_core::{
-    merge_slice_coverage, project_domain, AuditDump, Certificate, CoverageSlice, EngineKind,
-    InstrConstraint, ProgressEvent, SessionConfig, VerifyReport, VerifySession,
+    merge_slice_coverage, project_domain, AuditDump, Certificate, CoverageSlice, InstrConstraint,
+    ProgressEvent, SessionConfig, VerifyReport, VerifySession,
 };
 use symcosim_isa::pattern::partition_universe;
 use symcosim_microrv32::InjectedError;
@@ -24,19 +24,16 @@ symcosim — symbolic co-simulation for RISC-V processor verification
 
 USAGE:
     symcosim-cli verify [--full] [--limit N] [--paths N] [--window N]
-                        [--jobs N] [--seed N] [--engine fork|reexec] [--lint]
+                        [--jobs N] [--seed N] [--lint]
                         [--opcode HEX] [--certify] [--slices N]
                         [--report-json PATH] [--no-solver-chain]
-                        [--no-incremental] [--no-preflight] [--no-merge]
+                        [--no-incremental] [--no-preflight]
                         [--audit] [--audit-json PATH]
         Verify the shipped MicroRV32 against the shipped VP ISS and print
         the classified findings. --full allows CSR instructions (default);
         pass --rv32i-only to block them. --window sets the number of
         symbolic registers (default 2). --jobs explores paths on N worker
         threads (same report, any N); --seed seeds randomised search.
-        --engine selects the path engine: fork (default) resumes sibling
-        paths from copy-on-write snapshots, reexec replays each decision
-        prefix from the root — both produce the identical report.
         --lint runs the symbolic-IR well-formedness pass over every path
         and appends the issues to the report.
         --opcode restricts generation to one major opcode (hex, e.g. 0x63).
@@ -60,10 +57,6 @@ USAGE:
         --no-preflight disables the chain's abstract-interpretation
         preflight, so statically-forced queries reach the caches and
         solver again — identical report, only slower; for benchmarking.
-        --no-merge disables veritesting-style state merging in the fork
-        engine, so decode siblings that rejoin at the post-instruction
-        state are explored as separate physical paths — the report and
-        certificate are byte-identical, only slower; for benchmarking.
         --audit turns on proof-carrying solving: the SAT solver logs
         clausal (RUP) proofs and an independent checker certifies every
         answer — models by evaluation, UNSAT cores by conflict-cone
@@ -73,9 +66,8 @@ USAGE:
         `symcosim-lint --audit` re-verifies offline (implies --audit).
 
     symcosim-cli inject <E0..E9> [--limit N] [--jobs N] [--seed N]
-                        [--engine fork|reexec] [--fuzz] [--hybrid]
-                        [--no-solver-chain] [--no-incremental]
-                        [--no-preflight] [--no-merge]
+                        [--fuzz] [--hybrid] [--no-solver-chain]
+                        [--no-incremental] [--no-preflight]
         Seed one of the paper's Table II faults into the core and hunt it
         symbolically (default), by fuzzing (--fuzz), or hybrid (--hybrid).
 
@@ -158,16 +150,6 @@ fn flag_string(args: &[String], flag: &str) -> Result<Option<String>, Box<dyn Er
     Ok(None)
 }
 
-fn flag_engine(args: &[String]) -> Result<Option<EngineKind>, Box<dyn Error>> {
-    if let Some(pos) = args.iter().position(|a| a == "--engine") {
-        let value = args.get(pos + 1).ok_or("--engine expects a value")?;
-        let kind = EngineKind::parse(value)
-            .ok_or_else(|| format!("unknown engine {value:?} (expected fork or reexec)"))?;
-        return Ok(Some(kind));
-    }
-    Ok(None)
-}
-
 /// Runs the session sequentially or, with `--jobs` ≥ 2, on worker threads
 /// with a live status line on stderr (when stderr is a terminal).
 fn run_session(session: VerifySession, jobs: usize) -> VerifyReport {
@@ -229,9 +211,6 @@ fn cmd_verify(args: &[String]) -> Result<(), Box<dyn Error>> {
     if args.iter().any(|a| a == "--lint") {
         config.lint_ir = true;
     }
-    if let Some(engine) = flag_engine(args)? {
-        config.engine = engine;
-    }
     if let Some(opcode) = flag_string(args, "--opcode")? {
         let digits = opcode.strip_prefix("0x").unwrap_or(&opcode);
         let word =
@@ -246,9 +225,6 @@ fn cmd_verify(args: &[String]) -> Result<(), Box<dyn Error>> {
     }
     if args.iter().any(|a| a == "--no-preflight") {
         config.preflight = false;
-    }
-    if args.iter().any(|a| a == "--no-merge") {
-        config.merge = false;
     }
     let certify = args.iter().any(|a| a == "--certify");
     let report_json = flag_string(args, "--report-json")?;
@@ -391,9 +367,6 @@ fn cmd_inject(args: &[String]) -> Result<(), Box<dyn Error>> {
     if let Some(seed) = flag_value(args, "--seed")? {
         session.seed = seed;
     }
-    if let Some(engine) = flag_engine(args)? {
-        session.engine = engine;
-    }
     if args.iter().any(|a| a == "--no-solver-chain") {
         session.solver_chain = false;
     }
@@ -402,9 +375,6 @@ fn cmd_inject(args: &[String]) -> Result<(), Box<dyn Error>> {
     }
     if args.iter().any(|a| a == "--no-preflight") {
         session.preflight = false;
-    }
-    if args.iter().any(|a| a == "--no-merge") {
-        session.merge = false;
     }
     let jobs = flag_value(args, "--jobs")?.unwrap_or(1) as usize;
 

@@ -44,8 +44,8 @@ pub type CosimOutcome = CosimResult;
 /// [`CoSim::run`] drives the core cycle by cycle, services its instruction
 /// and data buses from the symbolic memories, lets the ISS execute the same
 /// instruction stream, and votes after every retirement. In symbolic mode
-/// this happens inside an [`Engine::explore`](symcosim_symex::Engine)
-/// closure; in concrete mode it is the fuzzing baseline's inner loop.
+/// this happens inside a [`ForkEngine`](symcosim_symex::ForkEngine)
+/// exploration; in concrete mode it is the fuzzing baseline's inner loop.
 ///
 /// The loop is exposed at instruction granularity too:
 /// [`CoSim::step_instr`] advances one retire-and-vote round, and `run` is
@@ -156,37 +156,6 @@ impl<D: Domain> CoSim<D> {
     /// instruction a mismatch should be attributed to.
     pub fn last_instruction(&self) -> Option<D::Word> {
         self.last_insn
-    }
-
-    /// Term-identical equality for veritesting-style state merging: true
-    /// when both models, both memories and the whole loop state agree
-    /// component by component, with every symbolic value the *same*
-    /// hash-consed term handle. Two such co-simulations perform literally
-    /// identical domain operations from here on, which is the property the
-    /// merging fork engine ([`ForkTask::states_equal`]) needs to keep
-    /// per-arm path records byte-identical to their unmerged runs. Never a
-    /// semantic check: distinct terms with equal values compare unequal,
-    /// and the engine simply keeps those paths apart.
-    ///
-    /// [`ForkTask::states_equal`]: symcosim_symex::ForkTask::states_equal
-    pub fn merge_eq(&self, other: &CoSim<D>) -> bool
-    where
-        D::Word: PartialEq,
-    {
-        self.core.merge_eq(&other.core)
-            && self.iss.merge_eq(&other.iss)
-            && self.imem.merge_eq(&other.imem)
-            && self.core_dmem.merge_eq(&other.core_dmem)
-            && self.iss_dmem.merge_eq(&other.iss_dmem)
-            && self.voter == other.voter
-            && self.instr_limit == other.instr_limit
-            && self.cycle_limit == other.cycle_limit
-            && self.compare_memory == other.compare_memory
-            && self.last_insn == other.last_insn
-            && self.next_instr == other.next_instr
-            && self.instructions == other.instructions
-            && self.pending_fetch == other.pending_fetch
-            && self.pending_data == other.pending_data
     }
 
     /// Replaces the voter (e.g. to disable the register-file comparison).

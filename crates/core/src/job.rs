@@ -12,8 +12,6 @@
 //! store is keyed on ([`JobSpec::config_hash`], slice cube), which is
 //! exactly the condition under which replaying a cached chain is sound.
 
-use symcosim_symex::EngineKind;
-
 use crate::json::{self, JsonValue, JsonWriter};
 use crate::session::{InstrConstraint, SessionConfig};
 
@@ -34,8 +32,6 @@ pub struct JobSpec {
     pub instr_limit: u32,
     /// Path budget per slice.
     pub max_paths: usize,
-    /// Path engine.
-    pub engine: EngineKind,
     /// Exploration seed.
     pub seed: u64,
     /// Route queries through the solver chain.
@@ -54,7 +50,6 @@ impl Default for JobSpec {
             opcode: None,
             instr_limit: 1,
             max_paths: 100_000,
-            engine: EngineKind::Fork,
             seed: 0x5eed_cafe,
             solver_chain: true,
             audit: false,
@@ -78,13 +73,6 @@ impl JobSpec {
         }
         w.number_field("instr_limit", u64::from(self.instr_limit));
         w.number_field("max_paths", self.max_paths as u64);
-        w.string_field(
-            "engine",
-            match self.engine {
-                EngineKind::Reexec => "reexec",
-                EngineKind::Fork => "fork",
-            },
-        );
         w.number_field("seed", self.seed);
         w.bool_field("solver_chain", self.solver_chain);
         w.bool_field("audit", self.audit);
@@ -96,7 +84,9 @@ impl JobSpec {
     /// Parses a job document. Every field except `schema` is optional and
     /// falls back to [`JobSpec::default`], so clients may submit minimal
     /// bodies like `{"schema": "symcosim-job/1", "opcode": 99,
-    /// "slices": 2}`.
+    /// "slices": 2}`. Unknown fields are ignored, among them the `engine`
+    /// field documents from before the fork engine became the only path
+    /// engine still carry.
     ///
     /// # Errors
     ///
@@ -128,18 +118,12 @@ impl JobSpec {
             };
         }
         if let Some(limit) = value.get("instr_limit") {
-            spec.instr_limit = limit.as_u64().ok_or("instr_limit must be a number")? as u32;
+            let raw = limit.as_u64().ok_or("instr_limit must be a number")?;
+            spec.instr_limit = u32::try_from(raw)
+                .map_err(|_| format!("instr_limit {raw} exceeds {}", u32::MAX))?;
         }
         if let Some(paths) = value.get("max_paths") {
             spec.max_paths = paths.as_u64().ok_or("max_paths must be a number")? as usize;
-        }
-        if let Some(engine) = value.get("engine") {
-            spec.engine = match engine.as_str() {
-                Some("fork") => EngineKind::Fork,
-                Some("reexec") => EngineKind::Reexec,
-                Some(other) => return Err(format!("unknown engine `{other}`")),
-                None => return Err("engine must be a string".to_string()),
-            };
         }
         if let Some(seed) = value.get("seed") {
             spec.seed = seed.as_u64().ok_or("seed must be a number")?;
@@ -178,7 +162,6 @@ impl JobSpec {
         }
         config.instr_limit = self.instr_limit;
         config.max_paths = self.max_paths;
-        config.engine = self.engine;
         config.seed = self.seed;
         config.solver_chain = self.solver_chain;
         config.audit = self.audit;
@@ -224,7 +207,6 @@ mod tests {
             opcode: Some(opcodes::BRANCH & 0x7f),
             instr_limit: 2,
             max_paths: 500,
-            engine: EngineKind::Reexec,
             seed: 42,
             solver_chain: false,
             audit: true,
@@ -245,7 +227,39 @@ mod tests {
         assert_eq!(spec.opcode, Some(0x63));
         assert_eq!(spec.slices, 2);
         assert_eq!(spec.preset, "rv32i-only");
-        assert_eq!(spec.engine, EngineKind::Fork);
+    }
+
+    #[test]
+    fn a_legacy_engine_field_is_ignored() {
+        let plain = JobSpec::from_json(
+            &JsonValue::parse(r#"{"schema": "symcosim-job/1", "opcode": 99}"#).expect("parses"),
+        )
+        .expect("accepted");
+        for engine in ["fork", "reexec"] {
+            let body =
+                format!(r#"{{"schema": "symcosim-job/1", "opcode": 99, "engine": "{engine}"}}"#);
+            let spec = JobSpec::from_json(&JsonValue::parse(&body).expect("parses"))
+                .expect("a legacy engine field is accepted");
+            assert_eq!(spec, plain, "{engine}");
+            assert_eq!(spec.config_hash(), plain.config_hash(), "{engine}");
+            assert!(!spec.to_json().contains("engine"));
+        }
+    }
+
+    #[test]
+    fn an_instruction_limit_beyond_u32_is_rejected() {
+        let parse = |limit: u64| {
+            let body = format!(r#"{{"schema": "symcosim-job/1", "instr_limit": {limit}}}"#);
+            JobSpec::from_json(&JsonValue::parse(&body).expect("parses"))
+        };
+        // 2^32 + 2 must not wrap around to a limit of 2.
+        let error = parse(4_294_967_298).expect_err("must reject");
+        assert!(error.contains("instr_limit"), "{error}");
+        assert!(parse(u64::from(u32::MAX) + 1).is_err());
+        assert_eq!(
+            parse(u64::from(u32::MAX)).map(|spec| spec.instr_limit),
+            Ok(u32::MAX)
+        );
     }
 
     #[test]
@@ -258,7 +272,6 @@ mod tests {
         assert!(reject(r#"{"schema": "symcosim-job/2"}"#).contains("unsupported"));
         assert!(reject(r#"{"schema": "symcosim-job/1", "opcode": 300}"#).contains("7-bit"));
         assert!(reject(r#"{"schema": "symcosim-job/1", "slices": 0}"#).contains("slices"));
-        assert!(reject(r#"{"schema": "symcosim-job/1", "engine": "warp"}"#).contains("engine"));
         assert!(
             JobSpec::from_json(&JsonValue::parse("{\"schema\": \"symcosim-job/1\"}").unwrap())
                 .is_ok()
@@ -281,10 +294,6 @@ mod tests {
         let mut reseeded = base.clone();
         reseeded.seed = 7;
         assert_ne!(base.config_hash(), reseeded.config_hash());
-
-        let mut other_engine = base.clone();
-        other_engine.engine = EngineKind::Reexec;
-        assert_ne!(base.config_hash(), other_engine.config_hash());
     }
 
     #[test]

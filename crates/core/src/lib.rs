@@ -74,5 +74,5 @@ pub use replay::replay;
 pub use report::{Finding, FindingClass, VerifyReport, REPORT_SCHEMA};
 pub use session::{project_domain, InstrConstraint, SessionConfig, SessionError, VerifySession};
 pub use symcosim_exec::ProgressEvent;
-pub use symcosim_symex::{ChainSeed, CoreReplayUnit, EngineKind, ProofAuditStats, QueryCacheStats};
+pub use symcosim_symex::{ChainSeed, CoreReplayUnit, ProofAuditStats, QueryCacheStats};
 pub use voter::{ConcreteJudge, Judge, Mismatch, MismatchKind, SymbolicJudge, Voter};

@@ -140,31 +140,6 @@ impl<D: Domain> SymbolicInstrMemory<D> {
         self.generated
     }
 
-    /// Term-identical equality for veritesting-style state merging: the
-    /// cached address/instruction associations and counters must be equal
-    /// term for term, and the constraint/generator hooks must be the
-    /// *same* shared closures (`Arc` pointer identity — snapshot clones of
-    /// one memory always share them; independently built memories never
-    /// merge, which is the sound direction).
-    pub fn merge_eq(&self, other: &SymbolicInstrMemory<D>) -> bool
-    where
-        D::Word: PartialEq,
-    {
-        fn hook_eq<T: ?Sized>(a: &Option<Arc<T>>, b: &Option<Arc<T>>) -> bool {
-            match (a, b) {
-                (None, None) => true,
-                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-                _ => false,
-            }
-        }
-        self.entries == other.entries
-            && self.generated == other.generated
-            && self.program == other.program
-            && hook_eq(&self.constraint, &other.constraint)
-            && hook_eq(&self.first_constraint, &other.first_constraint)
-            && hook_eq(&self.generator, &other.generator)
-    }
-
     /// Fetches the instruction at `addr`, generating it if needed.
     pub fn fetch(&mut self, dom: &mut D, addr: D::Word) -> D::Word {
         if let (Some(program), Some(concrete)) = (&self.program, dom.word_value(addr)) {
@@ -275,15 +250,6 @@ impl<D: Domain> SymbolicDataMemory<D> {
     /// Number of 32-bit words.
     pub fn num_words(&self) -> usize {
         self.words.len()
-    }
-
-    /// Term-identical equality for veritesting-style state merging: every
-    /// word must be the same hash-consed term handle.
-    pub fn merge_eq(&self, other: &SymbolicDataMemory<D>) -> bool
-    where
-        D::Word: PartialEq,
-    {
-        self.words == other.words
     }
 
     /// The raw word storage (voter end-of-run comparison).

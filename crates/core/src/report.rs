@@ -326,13 +326,13 @@ pub struct VerifyReport {
     /// `true` if the exploration stopped early (path budget or
     /// stop-at-first-mismatch) with work remaining.
     pub truncated: bool,
-    /// Path records recovered from veritesting-style merged physical
-    /// paths (zero when [`SessionConfig::merge`](crate::SessionConfig::merge)
-    /// is off or the engine is [`EngineKind::Reexec`](crate::EngineKind)).
-    /// Every merged record is expanded back to its unmerged byte-identical
-    /// form, so — like the duration and solver statistics — this counter
-    /// is excluded from [`to_json`](VerifyReport::to_json): report dumps
-    /// are byte-identical merge on or off.
+    /// Always 0. It counted the path records recovered from merged
+    /// physical paths while the engine had state merging, which was
+    /// removed because it never paid for itself. The field stays because
+    /// the end-to-end benchmark still reads it; the next benchmark change
+    /// drops it together with its `symex.merge.*` metrics. Excluded from
+    /// [`to_json`](VerifyReport::to_json), like the duration and solver
+    /// statistics.
     pub merged_paths: usize,
     /// Frontier jobs still queued when a truncated exploration stopped —
     /// a lower bound on the paths the truncation dropped (an unexplored
@@ -392,8 +392,8 @@ impl VerifyReport {
     /// the machine-readable surface `symcosim-lint --coverage`
     /// re-certifies. Wall-clock duration and solver statistics
     /// (including the solver-chain counters) are deliberately excluded
-    /// so the dump is identical across engines, worker counts and
-    /// machines.
+    /// so the dump is identical across worker counts, snapshot spills
+    /// and machines.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::new();

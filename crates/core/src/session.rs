@@ -6,14 +6,14 @@ use std::fmt;
 use std::sync::mpsc::Sender;
 use std::time::{Duration, Instant};
 
-use symcosim_exec::{explore_parallel, explore_parallel_fork, ExecConfig, ProgressEvent};
+use symcosim_exec::{explore_parallel_fork, ExecConfig, ProgressEvent};
 use symcosim_isa::{opcodes, Pattern};
 use symcosim_iss::IssConfig;
 use symcosim_microrv32::{CoreConfig, InjectedError};
 use symcosim_symex::{
-    ChainSeed, CoreReplayUnit, Domain, Engine, EngineConfig, EngineKind, ForkEngine, ForkExec,
-    ForkTask, PathProbe, PathResult, PathStatus, ProofAuditStats, QueryCacheStats, SearchStrategy,
-    SlotCoverage, SolverChainStats, SolverStats, StepResult, SymExec, TermId, TestVector,
+    ChainSeed, CoreReplayUnit, Domain, EngineConfig, FnTask, ForkEngine, ForkExec, ForkJob,
+    ForkTask, PathResult, PathStatus, ProofAuditStats, QueryCacheStats, SearchStrategy,
+    SlotCoverage, SolverChainStats, SolverStats, StepResult, TestVector,
 };
 
 use crate::certify::{self, BoundCause, CoverageData, PathCoverage};
@@ -85,16 +85,9 @@ pub struct SessionConfig {
     /// means unbounded. Ignored by the sequential [`VerifySession::run`].
     pub deadline: Option<Duration>,
     /// Run the symbolic-IR well-formedness pass
-    /// ([`SymExec::lint_path`]) over every explored path and surface the
+    /// ([`ForkExec::lint_path`]) over every explored path and surface the
     /// issues in [`VerifyReport::lint_issues`] (the CLI's `--lint` flag).
     pub lint_ir: bool,
-    /// Path engine: [`EngineKind::Fork`] (default) snapshots the
-    /// co-simulation state at fork points and resumes siblings from the
-    /// clone; [`EngineKind::Reexec`] re-executes each path from the root
-    /// replaying the recorded decision prefix. Both explore the same
-    /// canonical path set and produce bit-identical reports — the CLI's
-    /// `--engine` flag.
-    pub engine: EngineKind,
     /// Project every path's condition onto the instruction fetch slots
     /// and carry the cubes — together with the projected legal decode
     /// domain — in [`VerifyReport::coverage`], ready for the coverage
@@ -134,20 +127,6 @@ pub struct SessionConfig {
     /// `--no-preflight` flag disables it for benchmarking. Ignored when
     /// [`SessionConfig::solver_chain`] is off.
     pub preflight: bool,
-    /// Veritesting-style state merging in the fork engine: decode siblings
-    /// whose post-instruction states are term-identical — and whose
-    /// diverging fetch-slot decision bits the coverage projector proves
-    /// disjoint from every demanded output bit, with an exact cube union —
-    /// continue as one physical path and are expanded back into their
-    /// individual path records at the end. Reports, certificates and
-    /// findings are byte-identical merge on or off (the engine falls back
-    /// to plain forking whenever the proof fails) — the CLI's `--no-merge`
-    /// flag disables it for benchmarking and differential testing. Ignored
-    /// (forced off) when [`SessionConfig::stop_at_first_mismatch`] is set:
-    /// stop-early runs explore a scheduling-dependent subset, and merging
-    /// changes the schedule. Only the fork engine merges;
-    /// [`EngineKind::Reexec`] always explores one path at a time.
-    pub merge: bool,
 }
 
 impl SessionConfig {
@@ -171,14 +150,12 @@ impl SessionConfig {
             seed: 0x5eed_cafe,
             deadline: None,
             lint_ir: false,
-            engine: EngineKind::Fork,
             collect_coverage: false,
             solver_chain: true,
             slice: None,
             audit: false,
             incremental: true,
             preflight: true,
-            merge: true,
         }
     }
 
@@ -203,14 +180,12 @@ impl SessionConfig {
             seed: 0x5eed_cafe,
             deadline: None,
             lint_ir: false,
-            engine: EngineKind::Fork,
             collect_coverage: false,
             solver_chain: true,
             slice: None,
             audit: false,
             incremental: true,
             preflight: true,
-            merge: true,
         }
     }
 }
@@ -250,7 +225,7 @@ struct PathRun {
 
 /// The end-to-end symbolic verification flow.
 ///
-/// Owns a symbolic [`Engine`] and explores the co-simulation over the
+/// Drives a symbolic [`ForkEngine`] and explores the co-simulation over the
 /// symbolic instruction/register space; see the
 /// [crate documentation](crate) for an example.
 #[derive(Debug)]
@@ -303,20 +278,16 @@ impl VerifySession {
     }
 
     /// Runs the symbolic exploration and aggregates the report.
-    ///
-    /// The path engine is selected by [`SessionConfig::engine`]; both
-    /// engines drain the same canonical path set and yield bit-identical
-    /// reports (enforced by the `engine_equivalence` integration tests).
     pub fn run(self) -> VerifyReport {
         self.run_seeded(None).0
     }
 
     /// [`VerifySession::run`] with solver-chain cache handoff: imports
     /// `warm` (a seed exported by an *identical* earlier run — same
-    /// config, constraint, slice, engine and seed, see
-    /// [`ChainSeed`]) before exploring, and exports this run's caches
-    /// afterwards. The report is bit-identical warm or cold; only the
-    /// solver work changes, which the report's chain statistics expose.
+    /// config, constraint, slice and seed, see [`ChainSeed`]) before
+    /// exploring, and exports this run's caches afterwards. The report is
+    /// bit-identical warm or cold; only the solver work changes, which the
+    /// report's chain statistics expose.
     pub fn run_seeded(self, warm: Option<&ChainSeed>) -> (VerifyReport, ChainSeed) {
         let start = Instant::now();
         let config = self.config;
@@ -324,77 +295,38 @@ impl VerifySession {
         let domain = config
             .collect_coverage
             .then(|| project_domain(config.constraint, config.slice));
-        match config.engine {
-            EngineKind::Reexec => {
-                let mut engine = Engine::new(engine_config(&config));
-                if let Some(seed) = warm {
-                    engine.import_chain_seed(seed);
-                }
-                let closure_config = config.clone();
-                let outcome = engine.explore_until(
-                    move |exec| run_one_path(exec, &closure_config),
-                    move |path| stop_early && path.value.mismatch.is_some(),
-                );
-                let harvest = engine.export_chain_seed();
-                let solver = engine.backend().stats();
-                let cache = engine.backend().query_cache_stats();
-                let chain = engine.backend().solver_chain_stats();
-                let audit = engine.backend().proof_audit_stats();
-                let audit_failure = engine.backend().proof_audit_failure().map(String::from);
-                let audit_units = engine.take_audit_units();
-                let report = merge_report(
-                    outcome.paths,
-                    config.emit_test_vectors,
-                    outcome.frontier_exhausted,
-                    outcome.merged_paths,
-                    outcome.paths_dropped,
-                    start,
-                    solver,
-                    cache,
-                    chain,
-                    audit,
-                    audit_failure,
-                    audit_units,
-                    domain,
-                );
-                (report, harvest)
-            }
-            EngineKind::Fork => {
-                let mut engine = ForkEngine::new(engine_config(&config));
-                if let Some(seed) = warm {
-                    engine.import_chain_seed(seed);
-                }
-                let task = SessionTask {
-                    config: config.clone(),
-                };
-                let outcome = engine.explore_until(&task, move |path| {
-                    stop_early && path.value.mismatch.is_some()
-                });
-                let harvest = engine.export_chain_seed();
-                let solver = engine.backend().stats();
-                let cache = engine.backend().query_cache_stats();
-                let chain = engine.backend().solver_chain_stats();
-                let audit = engine.backend().proof_audit_stats();
-                let audit_failure = engine.backend().proof_audit_failure().map(String::from);
-                let audit_units = engine.take_audit_units();
-                let report = merge_report(
-                    outcome.paths,
-                    config.emit_test_vectors,
-                    outcome.frontier_exhausted,
-                    outcome.merged_paths,
-                    outcome.paths_dropped,
-                    start,
-                    solver,
-                    cache,
-                    chain,
-                    audit,
-                    audit_failure,
-                    audit_units,
-                    domain,
-                );
-                (report, harvest)
-            }
+        let mut engine = ForkEngine::new(engine_config(&config));
+        if let Some(seed) = warm {
+            engine.import_chain_seed(seed);
         }
+        let task = SessionTask {
+            config: config.clone(),
+        };
+        let outcome = engine.explore_until(&task, move |path| {
+            stop_early && path.value.mismatch.is_some()
+        });
+        let harvest = engine.export_chain_seed();
+        let solver = engine.backend().stats();
+        let cache = engine.backend().query_cache_stats();
+        let chain = engine.backend().solver_chain_stats();
+        let audit = engine.backend().proof_audit_stats();
+        let audit_failure = engine.backend().proof_audit_failure().map(String::from);
+        let audit_units = engine.take_audit_units();
+        let report = merge_report(
+            outcome.paths,
+            config.emit_test_vectors,
+            outcome.frontier_exhausted,
+            outcome.paths_dropped,
+            start,
+            solver,
+            cache,
+            chain,
+            audit,
+            audit_failure,
+            audit_units,
+            domain,
+        );
+        (report, harvest)
     }
 
     /// Runs the symbolic exploration on `jobs` worker threads (each with
@@ -429,62 +361,31 @@ impl VerifySession {
         let domain = config
             .collect_coverage
             .then(|| project_domain(config.constraint, config.slice));
-        match config.engine {
-            EngineKind::Reexec => {
-                let closure_config = config.clone();
-                let outcome = explore_parallel(
-                    &exec_config,
-                    move |exec: &mut SymExec<'_>| run_one_path(exec, &closure_config),
-                    move |path: &PathResult<PathRun>| stop_early && path.value.mismatch.is_some(),
-                    progress,
-                );
-                let (solver, cache, chain, audit, audit_failure, audit_units) =
-                    sum_worker_stats(&outcome.workers);
-                merge_report(
-                    outcome.paths,
-                    config.emit_test_vectors,
-                    outcome.frontier_exhausted,
-                    outcome.merged_paths,
-                    outcome.paths_dropped,
-                    start,
-                    solver,
-                    cache,
-                    chain,
-                    audit,
-                    audit_failure,
-                    audit_units,
-                    domain,
-                )
-            }
-            EngineKind::Fork => {
-                let task = SessionTask {
-                    config: config.clone(),
-                };
-                let outcome = explore_parallel_fork(
-                    &exec_config,
-                    &task,
-                    move |path: &PathResult<PathRun>| stop_early && path.value.mismatch.is_some(),
-                    progress,
-                );
-                let (solver, cache, chain, audit, audit_failure, audit_units) =
-                    sum_worker_stats(&outcome.workers);
-                merge_report(
-                    outcome.paths,
-                    config.emit_test_vectors,
-                    outcome.frontier_exhausted,
-                    outcome.merged_paths,
-                    outcome.paths_dropped,
-                    start,
-                    solver,
-                    cache,
-                    chain,
-                    audit,
-                    audit_failure,
-                    audit_units,
-                    domain,
-                )
-            }
-        }
+        let task = SessionTask {
+            config: config.clone(),
+        };
+        let outcome = explore_parallel_fork(
+            &exec_config,
+            &task,
+            move |path: &PathResult<PathRun>| stop_early && path.value.mismatch.is_some(),
+            progress,
+        );
+        let (solver, cache, chain, audit, audit_failure, audit_units) =
+            sum_worker_stats(&outcome.workers);
+        merge_report(
+            outcome.paths,
+            config.emit_test_vectors,
+            outcome.frontier_exhausted,
+            outcome.paths_dropped,
+            start,
+            solver,
+            cache,
+            chain,
+            audit,
+            audit_failure,
+            audit_units,
+            domain,
+        )
     }
 }
 
@@ -539,10 +440,6 @@ fn engine_config(config: &SessionConfig) -> EngineConfig {
         audit: config.audit,
         incremental: config.incremental,
         preflight: config.preflight,
-        // Stop-early runs explore a scheduling-dependent subset; merging
-        // changes which paths are in flight when the stop lands, so it is
-        // forced off to keep Table II timing runs comparable.
-        merge: config.merge && !config.stop_at_first_mismatch,
     }
 }
 
@@ -558,7 +455,6 @@ fn merge_report(
     mut paths: Vec<PathResult<PathRun>>,
     emit_test_vectors: bool,
     truncated: bool,
-    merged_paths: usize,
     paths_dropped: usize,
     start: Instant,
     solver_stats: SolverStats,
@@ -574,7 +470,7 @@ fn merge_report(
     // Coverage rides through the same deterministic merge as the
     // findings: path records are already in canonical decision order, so
     // the certifier input — and hence the certificate — is bit-identical
-    // across engines and worker counts.
+    // across worker counts.
     let coverage = domain.map(|(domain, domain_exact)| CoverageData {
         slot_prefix: certify::SLOT_PREFIX.to_string(),
         domain,
@@ -638,7 +534,7 @@ fn merge_report(
         test_vectors,
         duration: start.elapsed(),
         truncated,
-        merged_paths,
+        merged_paths: 0,
         paths_dropped,
         lint_issues,
         solver_stats,
@@ -671,21 +567,22 @@ fn classify_path_coverage(path: &PathResult<PathRun>) -> (bool, Option<BoundCaus
 /// Projects an instruction-generation constraint (optionally intersected
 /// with a first-fetch slice cube) onto a fresh fetch slot: the *legal
 /// decode domain* the certifier checks coverage against. Runs the real
-/// [`build_imem`] constraint closure on a scratch engine — the domain is
-/// derived from the same code path every explored path went through,
-/// never a hard-coded table. The certificate merge entry point
+/// [`build_imem`] constraint closure as the root path of a scratch engine
+/// — the domain is derived from the same code path every explored path
+/// went through, never a hard-coded table. The certificate merge entry point
 /// ([`merge_slice_coverage`](crate::merge_slice_coverage)) recomputes the
 /// *full* domain through this same function, which is what makes merged
 /// certificates byte-identical to single-process ones.
 pub fn project_domain(constraint: InstrConstraint, slice: Option<Pattern>) -> (Vec<Pattern>, bool) {
-    let mut engine = Engine::new(EngineConfig::default());
-    let outcome = engine.run_prefix(Vec::new(), |exec: &mut SymExec<'_>| {
+    let mut engine = ForkEngine::new(EngineConfig::default());
+    let task = FnTask(|exec: &mut ForkExec| {
         let mut imem = build_imem(constraint, slice);
         let addr = exec.const_word(0);
         let _ = imem.fetch(exec, addr);
         exec.project_coverage(certify::SLOT_PREFIX)
     });
-    match outcome.result.value.into_iter().next() {
+    let (root, _) = engine.run_job(ForkJob::root(), &task);
+    match root.value.into_iter().next() {
         Some(slot) => (slot.cubes, slot.exact),
         // An unconstrained generator mentions the slot in no assumption:
         // every word is legal.
@@ -709,18 +606,17 @@ fn build_cosim<D: Domain>(dom: &mut D, config: &SessionConfig) -> CoSim<D> {
     )
 }
 
-/// Turns a finished co-simulation into the per-path record — shared by the
-/// re-execution closure and the fork task.
-fn finish_run<D: PathProbe>(
-    exec: &mut D,
+/// Turns a finished co-simulation into the per-path record.
+fn finish_run(
+    exec: &mut ForkExec,
     config: &SessionConfig,
-    cosim: &CoSim<D>,
+    cosim: &CoSim<ForkExec>,
     result: &CosimResult,
 ) -> PathRun {
     let (witness, instr_word) = if result.mismatch.is_some() {
         // Stable extraction (fresh solver per query): the witness depends
         // only on the path condition, so reports agree between sequential
-        // and parallel exploration, and between the two path engines.
+        // and parallel exploration, snapshotted or replayed.
         let witness = exec.stable_witness_vector(&[]);
         let instr_word = cosim
             .last_instruction()
@@ -752,81 +648,27 @@ fn finish_run<D: PathProbe>(
     }
 }
 
-/// Runs one co-simulation path inside the re-execution engine.
-fn run_one_path(exec: &mut SymExec<'_>, config: &SessionConfig) -> PathRun {
-    let mut cosim = build_cosim(exec, config);
-    let result = cosim.run(exec, &mut SymbolicJudge);
-    finish_run(exec, config, &cosim, &result)
-}
-
 /// The verification flow as a [`ForkTask`]: the fork engine snapshots the
-/// co-simulation between [`CoSim::step_instr`] boundaries instead of
-/// re-executing the prefix.
+/// co-simulation (everything one path mutates outside the executor)
+/// between [`CoSim::step_instr`] boundaries instead of re-executing the
+/// prefix.
 struct SessionTask {
     config: SessionConfig,
 }
 
-/// Snapshot unit: everything one path mutates outside the executor.
-#[derive(Clone)]
-struct SessionState {
-    cosim: CoSim<ForkExec>,
-    /// The co-simulation outcome, stashed when the run finishes so
-    /// [`ForkTask::expand_arm`] can rebuild the per-arm [`PathRun`] from a
-    /// merged sibling's own constraint ledger. Merged arms reached `Done`
-    /// in lockstep with byte-identical domain operations, so the outcome
-    /// is shared; only the witness/coverage extraction in [`finish_run`]
-    /// is per-arm.
-    finished: Option<CosimResult>,
-}
-
 impl ForkTask for SessionTask {
-    type State = SessionState;
+    type State = CoSim<ForkExec>;
     type Out = PathRun;
 
-    fn start(&self, exec: &mut ForkExec) -> SessionState {
-        SessionState {
-            cosim: build_cosim(exec, &self.config),
-            finished: None,
-        }
+    fn start(&self, exec: &mut ForkExec) -> CoSim<ForkExec> {
+        build_cosim(exec, &self.config)
     }
 
-    fn step(&self, state: &mut SessionState, exec: &mut ForkExec) -> StepResult<PathRun> {
-        match state.cosim.step_instr(exec, &mut SymbolicJudge) {
+    fn step(&self, cosim: &mut CoSim<ForkExec>, exec: &mut ForkExec) -> StepResult<PathRun> {
+        match cosim.step_instr(exec, &mut SymbolicJudge) {
             None => StepResult::Continue,
-            Some(result) => {
-                let run = finish_run(exec, &self.config, &state.cosim, &result);
-                state.finished = Some(result);
-                StepResult::Done(run)
-            }
+            Some(result) => StepResult::Done(finish_run(exec, &self.config, cosim, &result)),
         }
-    }
-
-    fn merge_capable(&self) -> bool {
-        true
-    }
-
-    fn states_equal(&self, a: &SessionState, b: &SessionState) -> bool {
-        a.finished.is_none() && b.finished.is_none() && a.cosim.merge_eq(&b.cosim)
-    }
-
-    fn merge_outputs(&self, state: &SessionState) -> Vec<TermId> {
-        // The terms a finished path observes: the post-run PCs and
-        // architectural register files the voter compares (the same output
-        // frontier the merge-opportunity lint cones on), plus both data
-        // memories (compared at end of run). The merge gate refuses to
-        // merge siblings whose diverging fetch bits any of these demands.
-        let cosim = &state.cosim;
-        let mut outputs = vec![cosim.core.pc(), cosim.iss.pc()];
-        outputs.extend_from_slice(&cosim.core.registers()[1..]);
-        outputs.extend_from_slice(&cosim.iss.registers()[1..]);
-        outputs.extend_from_slice(cosim.core_dmem.words());
-        outputs.extend_from_slice(cosim.iss_dmem.words());
-        outputs
-    }
-
-    fn expand_arm(&self, state: &SessionState, exec: &mut ForkExec) -> Option<PathRun> {
-        let result = state.finished.as_ref()?;
-        Some(finish_run(exec, &self.config, &state.cosim, result))
     }
 }
 

@@ -3,7 +3,7 @@
 use std::fmt;
 
 use symcosim_rtl::RvfiRecord;
-use symcosim_symex::{ConcreteDomain, Domain, Node, PathProbe, TermId};
+use symcosim_symex::{ConcreteDomain, Domain, ForkExec, Node, TermId};
 
 /// Which architectural observation disagreed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -123,31 +123,28 @@ impl Judge<ConcreteDomain> for ConcreteJudge {
     fn commit(&mut self, _dom: &mut ConcreteDomain, _cond: bool) {}
 }
 
-/// Symbolic-domain judge: conditions go to the solver.
-///
-/// Blanket over [`PathProbe`], so the same judge serves the re-execution
-/// executor ([`SymExec`](symcosim_symex::SymExec)) and the fork-engine
-/// executor ([`ForkExec`](symcosim_symex::ForkExec)).
+/// Symbolic-domain judge: conditions go to the fork engine's executor and
+/// its solver.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SymbolicJudge;
 
-impl<D: PathProbe> Judge<D> for SymbolicJudge {
-    fn possibly_true(&mut self, dom: &mut D, cond: TermId) -> bool {
+impl Judge<ForkExec> for SymbolicJudge {
+    fn possibly_true(&mut self, dom: &mut ForkExec, cond: TermId) -> bool {
         dom.check_sat(cond)
     }
 
-    fn commit(&mut self, dom: &mut D, cond: TermId) {
+    fn commit(&mut self, dom: &mut ForkExec, cond: TermId) {
         dom.add_constraint(cond);
     }
 
-    fn ite_view(&self, dom: &D, word: TermId) -> Option<(TermId, TermId, TermId)> {
+    fn ite_view(&self, dom: &ForkExec, word: TermId) -> Option<(TermId, TermId, TermId)> {
         match dom.node(word) {
             Node::Ite(cond, then_w, else_w) => Some((cond, then_w, else_w)),
             _ => None,
         }
     }
 
-    fn eq_const_view(&self, dom: &D, cond: TermId) -> Option<(TermId, u32)> {
+    fn eq_const_view(&self, dom: &ForkExec, cond: TermId) -> Option<(TermId, u32)> {
         let Node::Eq(a, b) = dom.node(cond) else {
             return None;
         };
@@ -159,7 +156,7 @@ impl<D: PathProbe> Judge<D> for SymbolicJudge {
     }
 
     #[cfg(debug_assertions)]
-    fn reference_possibly_true(&mut self, dom: &mut D, cond: TermId) -> bool {
+    fn reference_possibly_true(&mut self, dom: &mut ForkExec, cond: TermId) -> bool {
         dom.reference_sat(cond)
     }
 }
@@ -373,7 +370,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use symcosim_symex::{Engine, EngineConfig, SymExec};
+    use symcosim_symex::{EngineConfig, FnTask, ForkEngine};
 
     fn record(pc_wdata: u32, rd_addr: u32, rd_wdata: u32, trap: Option<u32>) -> RvfiRecord<u32> {
         RvfiRecord {
@@ -523,7 +520,7 @@ mod tests {
     /// Both models' register write and `rd` report, as they build them:
     /// `ite(rd == i, value, old)` per register and `ite(rd == 0, 0, value)`.
     fn symbolic_retire(
-        exec: &mut SymExec<'_>,
+        exec: &mut ForkExec,
         rd: TermId,
         value: TermId,
         old: &[TermId; 32],
@@ -557,28 +554,28 @@ mod tests {
         asked: usize,
     }
 
-    impl<D: PathProbe> Judge<D> for CountingJudge {
-        fn possibly_true(&mut self, dom: &mut D, cond: TermId) -> bool {
+    impl Judge<ForkExec> for CountingJudge {
+        fn possibly_true(&mut self, dom: &mut ForkExec, cond: TermId) -> bool {
             if dom.bool_value(cond).is_none() {
                 self.asked += 1;
             }
             SymbolicJudge.possibly_true(dom, cond)
         }
 
-        fn commit(&mut self, dom: &mut D, cond: TermId) {
+        fn commit(&mut self, dom: &mut ForkExec, cond: TermId) {
             SymbolicJudge.commit(dom, cond);
         }
 
-        fn ite_view(&self, dom: &D, word: TermId) -> Option<(TermId, TermId, TermId)> {
+        fn ite_view(&self, dom: &ForkExec, word: TermId) -> Option<(TermId, TermId, TermId)> {
             SymbolicJudge.ite_view(dom, word)
         }
 
-        fn eq_const_view(&self, dom: &D, cond: TermId) -> Option<(TermId, u32)> {
+        fn eq_const_view(&self, dom: &ForkExec, cond: TermId) -> Option<(TermId, u32)> {
             SymbolicJudge.eq_const_view(dom, cond)
         }
 
         #[cfg(debug_assertions)]
-        fn reference_possibly_true(&mut self, dom: &mut D, cond: TermId) -> bool {
+        fn reference_possibly_true(&mut self, dom: &mut ForkExec, cond: TermId) -> bool {
             self.asked += 1;
             SymbolicJudge.reference_possibly_true(dom, cond)
         }
@@ -589,11 +586,11 @@ mod tests {
     /// from `x1`; `iss_old` may replace the ISS's old register terms.
     /// Returns the mismatch and the number of solver queries.
     fn symbolic_vote(
-        values: fn(&mut SymExec<'_>, TermId) -> (TermId, TermId),
-        iss_old: fn(&mut SymExec<'_>, &mut [TermId; 32]),
+        values: fn(&mut ForkExec, TermId) -> (TermId, TermId),
+        iss_old: fn(&mut ForkExec, &mut [TermId; 32]),
     ) -> (Option<MismatchKind>, usize) {
-        let mut engine = Engine::new(EngineConfig::default());
-        let outcome = engine.explore(|exec| {
+        let mut engine = ForkEngine::new(EngineConfig::default());
+        let outcome = engine.explore(&FnTask(|exec: &mut ForkExec| {
             let insn = exec.fresh_word("insn");
             let rd = exec.field(insn, 11, 7);
             let mut old = [exec.const_word(0); 32];
@@ -608,7 +605,7 @@ mod tests {
             let mismatch =
                 Voter::new().compare_step(exec, &mut judge, 0, &core, &iss, &core_regs, &iss_regs);
             (mismatch.map(|m| m.kind), judge.asked)
-        });
+        }));
         assert_eq!(outcome.paths.len(), 1, "the vote does not fork");
         outcome.paths[0].value.clone()
     }

@@ -44,13 +44,6 @@ impl Budget {
         self.claimed.load(Ordering::Relaxed).min(self.max_paths)
     }
 
-    /// Path slots not yet claimed. Advisory in the presence of concurrent
-    /// claims — workers use it to bound speculative work (merge
-    /// lookahead), never as permission to run a path.
-    pub fn remaining(&self) -> usize {
-        self.max_paths - self.claimed()
-    }
-
     /// Requests cooperative cancellation of the whole exploration.
     pub fn cancel(&self) {
         self.cancelled.store(true, Ordering::SeqCst);

@@ -6,8 +6,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use symcosim_symex::{
-    CoreReplayUnit, Engine, EngineConfig, ForkEngine, ForkJob, ForkTask, PathResult, PathStatus,
-    ProofAuditStats, QueryCacheStats, SolverChainStats, SolverStats, SymExec,
+    CoreReplayUnit, EngineConfig, ForkEngine, ForkJob, ForkTask, PathResult, PathStatus,
+    ProofAuditStats, QueryCacheStats, SolverChainStats, SolverStats,
 };
 
 use crate::budget::Budget;
@@ -43,12 +43,8 @@ impl ExecConfig {
 pub struct WorkerReport {
     /// Worker index.
     pub worker: usize,
-    /// Path records this worker produced.
+    /// Paths this worker explored.
     pub paths: usize,
-    /// Of those, records recovered from merged physical paths (a merged
-    /// path representing *k* arms contributes *k − 1*; always zero when
-    /// state merging is off).
-    pub merged_paths: usize,
     /// Time spent executing paths (excludes queue waits).
     pub busy: Duration,
     /// Its private SAT solver's cumulative statistics.
@@ -67,7 +63,7 @@ pub struct WorkerReport {
     pub audit_units: Vec<CoreReplayUnit>,
 }
 
-/// Aggregate result of an [`explore_parallel`] call.
+/// Aggregate result of an [`explore_parallel_fork`] call.
 ///
 /// `paths` is in **canonical order** (lexicographic by decision vector),
 /// not completion order — the order is a pure function of the exploration,
@@ -83,9 +79,6 @@ pub struct ParallelOutcome<R> {
     /// `true` if exploration stopped with work left (path budget,
     /// deadline, or stop predicate).
     pub frontier_exhausted: bool,
-    /// Path records recovered from merged physical paths across all
-    /// workers (see [`EngineConfig::merge`]); zero when merging is off.
-    pub merged_paths: usize,
     /// Frontier jobs still queued when exploration stopped — a lower
     /// bound on the paths the truncation dropped. Zero when the
     /// frontier drained.
@@ -106,164 +99,31 @@ impl<R> ParallelOutcome<R> {
     }
 }
 
-/// Explores every feasible path through `task` using `config.jobs` worker
-/// threads, stopping early when `stop` returns true for a finished path.
-///
-/// `task` must satisfy the same determinism contract as
-/// [`Engine::explore`]; additionally it is shared by all workers, so it
-/// must be `Sync` (it is re-invoked, never mutated). Progress events are
-/// emitted on `progress` if given; a dropped receiver is tolerated.
-///
-/// For a frontier-drained run the returned outcome is identical whatever
-/// `config.jobs` is — see the crate documentation for the argument.
-pub fn explore_parallel<R, F, P>(
-    config: &ExecConfig,
-    task: F,
-    stop: P,
-    progress: Option<Sender<ProgressEvent>>,
-) -> ParallelOutcome<R>
-where
-    R: Send,
-    F: Fn(&mut SymExec<'_>) -> R + Sync,
-    P: Fn(&PathResult<R>) -> bool + Sync,
-{
-    let jobs = config.jobs.max(1);
-    let start = Instant::now();
-    let budget = Budget::new(config.engine.max_paths, config.deadline);
-    let frontier = ShardedFrontier::new(jobs);
-    frontier.push(0, Vec::new());
-    if let Some(tx) = &progress {
-        let _ = tx.send(ProgressEvent::Started { jobs });
-    }
-
-    let (mut paths, workers) = thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|worker| {
-                let tx = progress.clone();
-                let (frontier, budget, task, stop) = (&frontier, &budget, &task, &stop);
-                let mut engine_config = config.engine.clone();
-                engine_config.seed ^= (worker as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                scope.spawn(move || {
-                    let strategy = engine_config.strategy;
-                    let mut rng = engine_config.seed | 1;
-                    let mut engine = Engine::new(engine_config);
-                    let mut local: Vec<PathResult<R>> = Vec::new();
-                    let mut busy = Duration::ZERO;
-                    while let Some(prefix) = frontier.acquire(worker, strategy, &mut rng, budget) {
-                        if !budget.claim() {
-                            // Path budget spent: retire the job unrun and
-                            // bring the whole exploration down.
-                            frontier.finish(worker, Vec::new());
-                            budget.cancel();
-                            break;
-                        }
-                        let t0 = Instant::now();
-                        let outcome = engine.run_prefix(prefix, task);
-                        busy += t0.elapsed();
-                        if stop(&outcome.result) {
-                            budget.cancel();
-                        }
-                        frontier.finish(worker, outcome.forks);
-                        if let Some(tx) = &tx {
-                            let _ = tx.send(ProgressEvent::PathDone {
-                                worker,
-                                depth: outcome.result.decisions.len(),
-                                paths_done: budget.claimed(),
-                                queued: frontier.pending(),
-                                elapsed_ms: start.elapsed().as_millis() as u64,
-                            });
-                        }
-                        local.push(outcome.result);
-                    }
-                    let stats = engine.backend().stats();
-                    let cache = engine.backend().query_cache_stats();
-                    let chain = engine.backend().solver_chain_stats();
-                    let audit = engine.backend().proof_audit_stats();
-                    let audit_failure = engine.backend().proof_audit_failure().map(String::from);
-                    let audit_units = engine.take_audit_units();
-                    if let Some(tx) = &tx {
-                        let _ = tx.send(ProgressEvent::WorkerDone {
-                            worker,
-                            paths: local.len(),
-                            merged: 0,
-                            busy_ms: busy.as_millis() as u64,
-                            solver: stats,
-                            cache,
-                            chain,
-                            audit,
-                        });
-                    }
-                    let report = WorkerReport {
-                        worker,
-                        paths: local.len(),
-                        merged_paths: 0,
-                        busy,
-                        stats,
-                        cache,
-                        chain,
-                        audit,
-                        audit_failure,
-                        audit_units,
-                    };
-                    (local, report)
-                })
-            })
-            .collect();
-        let mut paths = Vec::new();
-        let mut workers = Vec::new();
-        for handle in handles {
-            let (local, report) = handle.join().expect("worker panicked");
-            paths.extend(local);
-            workers.push(report);
-        }
-        (paths, workers)
-    });
-
-    // Canonical merge: explored decision vectors are pairwise prefix-free,
-    // so their lexicographic order is total and schedule-independent.
-    paths.sort_by(|a, b| a.decisions.cmp(&b.decisions));
-    let complete = paths
-        .iter()
-        .filter(|p| p.status == PathStatus::Complete)
-        .count();
-    let truncated = budget.cancelled() || frontier.pending() > 0;
-    if let Some(tx) = &progress {
-        let _ = tx.send(ProgressEvent::Finished {
-            paths: paths.len(),
-            merged: 0,
-            wall_ms: start.elapsed().as_millis() as u64,
-            truncated,
-        });
-    }
-    ParallelOutcome {
-        complete_paths: complete,
-        partial_paths: paths.len() - complete,
-        frontier_exhausted: truncated,
-        merged_paths: 0,
-        paths_dropped: frontier.pending(),
-        workers,
-        wall: start.elapsed(),
-        paths,
-    }
-}
-
 /// One frontier entry of a fork-engine exploration: the job plus the
 /// worker whose engine produced it.
 ///
 /// A snapshot embeds `TermId`s and task state minted by the owner's
 /// private term context, so it is only meaningful inside that worker's
-/// engine. A stolen entry is degraded to its recorded decision prefixes
-/// ([`ForkJob::split_on_spill`] — a merged job re-splits into one replay
-/// per arm) and replayed from the root — stealing trades the snapshot
-/// for load balance.
+/// engine. A stolen entry is degraded to its recorded decision prefix
+/// ([`ForkJob::spill`]) and replayed from the root — stealing trades the
+/// snapshot for load balance.
 struct ForkEntry<S> {
     owner: usize,
     job: ForkJob<S>,
 }
 
-/// [`explore_parallel`] for a [`ForkTask`]: every worker owns a private
-/// [`ForkEngine`] and resumes sibling paths from copy-on-write snapshots
-/// instead of re-executing decision prefixes.
+/// Explores every feasible path through `task` using `config.jobs` worker
+/// threads, stopping early when `stop` returns true for a finished path.
+/// Every worker owns a private [`ForkEngine`] and resumes sibling paths
+/// from copy-on-write snapshots instead of re-executing decision
+/// prefixes.
+///
+/// `task` must satisfy the [`ForkTask`] determinism contract;
+/// additionally it is shared by all workers, so it must be `Sync` (it is
+/// re-invoked, never mutated). Progress events are emitted on `progress`
+/// if given; a dropped receiver is tolerated. For a frontier-drained run
+/// the returned outcome is identical whatever `config.jobs` is — see the
+/// crate documentation for the argument.
 ///
 /// Snapshots are worker-affine (see [`ForkEntry`]); jobs that cross
 /// workers through stealing, and forks past the global
@@ -311,21 +171,15 @@ where
                     let mut rng = engine_config.seed | 1;
                     let mut engine = ForkEngine::new(engine_config);
                     let mut local: Vec<PathResult<T::Out>> = Vec::new();
-                    let mut merged = 0usize;
                     let mut busy = Duration::ZERO;
                     while let Some(entry) = frontier.acquire(worker, strategy, &mut rng, budget) {
                         let mut job = entry.job;
-                        let mut entries: Vec<ForkEntry<T::State>> = Vec::new();
                         if job.has_snapshot() {
                             resident.fetch_sub(1, Ordering::Relaxed);
                             if entry.owner != worker {
                                 // Stolen: the snapshot is meaningless in
-                                // this worker's engine. A merged job
-                                // re-splits into per-arm prefix replays;
-                                // the extra arms rejoin the frontier.
-                                let mut split = job.split_on_spill().into_iter();
-                                job = split.next().expect("split yields the primary");
-                                entries.extend(split.map(|job| ForkEntry { owner: worker, job }));
+                                // this worker's engine.
+                                job = job.spill();
                             }
                         }
                         if !budget.claim() {
@@ -336,60 +190,36 @@ where
                             break;
                         }
                         let t0 = Instant::now();
-                        // Bound the merge lookahead by the slots the global
-                        // budget still admits beyond the queued jobs (the
-                        // claim above already covers this job). Advisory
-                        // under concurrency, but merge decisions never
-                        // change the record set — only physical-path
-                        // accounting.
-                        engine.set_merge_headroom(
-                            budget.remaining().saturating_sub(frontier.pending()),
-                        );
-                        let (results, forks) = engine.run_job(job, task);
+                        let (result, forks) = engine.run_job(job, task);
                         busy += t0.elapsed();
-                        merged += results.len().saturating_sub(1);
-                        if results.iter().any(&stop) {
+                        if stop(&result) {
                             budget.cancel();
                         }
-                        entries.extend(
-                            forks
-                                .into_iter()
-                                .flat_map(|fork| {
-                                    let fork = if fork.has_snapshot() {
-                                        let admitted = resident
-                                            .fetch_update(
-                                                Ordering::Relaxed,
-                                                Ordering::Relaxed,
-                                                |n| (n < max_resident).then_some(n + 1),
-                                            )
-                                            .is_ok();
-                                        if admitted {
-                                            vec![fork]
-                                        } else {
-                                            // Over the resident bound: a merged
-                                            // job re-splits rather than spills.
-                                            fork.split_on_spill()
-                                        }
-                                    } else {
-                                        vec![fork]
-                                    };
-                                    fork.into_iter()
-                                })
-                                .map(|job| ForkEntry { owner: worker, job }),
-                        );
+                        let entries = forks
+                            .into_iter()
+                            .map(|fork| {
+                                let admitted = !fork.has_snapshot()
+                                    || resident
+                                        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                                            (n < max_resident).then_some(n + 1)
+                                        })
+                                        .is_ok();
+                                // Over the resident bound: spill.
+                                let job = if admitted { fork } else { fork.spill() };
+                                ForkEntry { owner: worker, job }
+                            })
+                            .collect();
                         frontier.finish(worker, entries);
                         if let Some(tx) = &tx {
-                            for result in &results {
-                                let _ = tx.send(ProgressEvent::PathDone {
-                                    worker,
-                                    depth: result.decisions.len(),
-                                    paths_done: budget.claimed(),
-                                    queued: frontier.pending(),
-                                    elapsed_ms: start.elapsed().as_millis() as u64,
-                                });
-                            }
+                            let _ = tx.send(ProgressEvent::PathDone {
+                                worker,
+                                depth: result.decisions.len(),
+                                paths_done: budget.claimed(),
+                                queued: frontier.pending(),
+                                elapsed_ms: start.elapsed().as_millis() as u64,
+                            });
                         }
-                        local.extend(results);
+                        local.push(result);
                     }
                     let stats = engine.backend().stats();
                     let cache = engine.backend().query_cache_stats();
@@ -401,7 +231,6 @@ where
                         let _ = tx.send(ProgressEvent::WorkerDone {
                             worker,
                             paths: local.len(),
-                            merged,
                             busy_ms: busy.as_millis() as u64,
                             solver: stats,
                             cache,
@@ -412,7 +241,6 @@ where
                     let report = WorkerReport {
                         worker,
                         paths: local.len(),
-                        merged_paths: merged,
                         busy,
                         stats,
                         cache,
@@ -435,18 +263,17 @@ where
         (paths, workers)
     });
 
-    // Same canonical merge as `explore_parallel` (see the crate docs).
+    // Canonical merge: explored decision vectors are pairwise prefix-free,
+    // so their lexicographic order is total and schedule-independent.
     paths.sort_by(|a, b| a.decisions.cmp(&b.decisions));
     let complete = paths
         .iter()
         .filter(|p| p.status == PathStatus::Complete)
         .count();
-    let merged_paths: usize = workers.iter().map(|w| w.merged_paths).sum();
     let truncated = budget.cancelled() || frontier.pending() > 0;
     if let Some(tx) = &progress {
         let _ = tx.send(ProgressEvent::Finished {
             paths: paths.len(),
-            merged: merged_paths,
             wall_ms: start.elapsed().as_millis() as u64,
             truncated,
         });
@@ -455,7 +282,6 @@ where
         complete_paths: complete,
         partial_paths: paths.len() - complete,
         frontier_exhausted: truncated,
-        merged_paths,
         paths_dropped: frontier.pending(),
         workers,
         wall: start.elapsed(),
@@ -467,144 +293,18 @@ where
 mod tests {
     use super::*;
     use std::sync::mpsc;
-    use symcosim_symex::{Domain, ForkExec, PathProbe, SearchStrategy, StepResult};
+    use symcosim_symex::{Domain, FnTask, ForkExec, SearchStrategy, StepResult};
 
     /// A task's value plus its path's model, extracted inside the task the
     /// way the session extracts a finding's witness.
     type Out = (u32, Option<String>);
 
-    fn model(exec: &mut impl PathProbe) -> Option<String> {
+    fn model(exec: &mut ForkExec) -> Option<String> {
         exec.stable_witness_vector(&[]).map(|v| v.to_string())
     }
 
-    /// Four decisions over distinct bits of one symbol: 16 feasible paths.
-    fn four_bit_task(exec: &mut SymExec<'_>) -> Out {
-        let x = exec.fresh_word("x");
-        let mut value = 0u32;
-        for bit in 0..4 {
-            let field = exec.field(x, bit, bit);
-            let one = exec.const_word(1);
-            let set = exec.eq_w(field, one);
-            if exec.decide(set) {
-                value |= 1 << bit;
-            }
-        }
-        (value, model(exec))
-    }
-
-    fn config(jobs: usize) -> ExecConfig {
-        ExecConfig::new(jobs, EngineConfig::default())
-    }
-
-    /// A printable fingerprint of everything a merged report is built from.
-    fn fingerprint(outcome: &ParallelOutcome<Out>) -> Vec<String> {
-        outcome
-            .paths
-            .iter()
-            .map(|p| {
-                format!(
-                    "{:?} value={} status={:?} vector={:?}",
-                    p.decisions, p.value.0, p.status, p.value.1
-                )
-            })
-            .collect()
-    }
-
-    #[test]
-    fn drained_runs_are_identical_across_worker_counts() {
-        let baseline = explore_parallel(&config(1), four_bit_task, |_| false, None);
-        assert_eq!(baseline.paths.len(), 16);
-        assert!(!baseline.frontier_exhausted);
-        let mut values: Vec<u32> = baseline.complete_values().map(|v| v.0).collect();
-        values.sort_unstable();
-        assert_eq!(values, (0..16).collect::<Vec<u32>>());
-        assert!(baseline.paths.iter().all(|p| p.value.1.is_some()));
-
-        for jobs in [2, 4] {
-            let outcome = explore_parallel(&config(jobs), four_bit_task, |_| false, None);
-            assert_eq!(fingerprint(&outcome), fingerprint(&baseline), "jobs={jobs}");
-            assert_eq!(outcome.workers.len(), jobs);
-        }
-    }
-
-    #[test]
-    fn all_strategies_drain_to_the_same_merge() {
-        let baseline = explore_parallel(&config(1), four_bit_task, |_| false, None);
-        for strategy in [SearchStrategy::Bfs, SearchStrategy::RandomPath] {
-            let mut cfg = config(3);
-            cfg.engine.strategy = strategy;
-            let outcome = explore_parallel(&cfg, four_bit_task, |_| false, None);
-            assert_eq!(
-                fingerprint(&outcome),
-                fingerprint(&baseline),
-                "{strategy:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn repeated_runs_are_identical() {
-        let first = explore_parallel(&config(4), four_bit_task, |_| false, None);
-        let second = explore_parallel(&config(4), four_bit_task, |_| false, None);
-        assert_eq!(fingerprint(&first), fingerprint(&second));
-    }
-
-    #[test]
-    fn stop_predicate_cancels_the_run() {
-        let outcome = explore_parallel(&config(2), four_bit_task, |p| p.value.0 == 5, None);
-        assert!(outcome.paths.iter().any(|p| p.value.0 == 5));
-        assert!(outcome.frontier_exhausted, "forks were left unexplored");
-    }
-
-    #[test]
-    fn path_budget_truncates() {
-        let mut cfg = config(2);
-        cfg.engine.max_paths = 5;
-        let outcome = explore_parallel(&cfg, four_bit_task, |_| false, None);
-        assert!(outcome.paths.len() <= 5, "{} paths", outcome.paths.len());
-        assert!(outcome.frontier_exhausted);
-    }
-
-    #[test]
-    fn expired_deadline_stops_immediately() {
-        let mut cfg = config(2);
-        cfg.deadline = Some(Duration::ZERO);
-        let outcome = explore_parallel(&cfg, four_bit_task, |_| false, None);
-        assert!(outcome.paths.is_empty());
-        assert!(outcome.frontier_exhausted);
-    }
-
-    #[test]
-    fn progress_events_bracket_the_run() {
-        let (tx, rx) = mpsc::channel();
-        let outcome = explore_parallel(&config(2), four_bit_task, |_| false, Some(tx));
-        let events: Vec<ProgressEvent> = rx.iter().collect();
-        assert!(matches!(
-            events.first(),
-            Some(ProgressEvent::Started { jobs: 2 })
-        ));
-        assert!(matches!(
-            events.last(),
-            Some(ProgressEvent::Finished {
-                paths: 16,
-                truncated: false,
-                ..
-            })
-        ));
-        let path_events = events
-            .iter()
-            .filter(|e| matches!(e, ProgressEvent::PathDone { .. }))
-            .count();
-        assert_eq!(path_events, outcome.paths.len());
-        let worker_events = events
-            .iter()
-            .filter(|e| matches!(e, ProgressEvent::WorkerDone { .. }))
-            .count();
-        assert_eq!(worker_events, 2);
-    }
-
-    /// [`four_bit_task`] as a [`ForkTask`]: one decision per step, so the
-    /// fork engine snapshots between bits.
+    /// Four decisions over distinct bits of one symbol, one decision per
+    /// step so the engine snapshots between bits: 16 feasible paths.
     struct ForkBits;
 
     #[derive(Clone)]
@@ -637,30 +337,159 @@ mod tests {
         }
     }
 
+    /// [`ForkBits`] as one closure step: every sibling replays its prefix
+    /// from the root (re-execution).
+    fn four_bit_task(exec: &mut ForkExec) -> Out {
+        let x = exec.fresh_word("x");
+        let mut value = 0u32;
+        for bit in 0..4 {
+            let field = exec.field(x, bit, bit);
+            let one = exec.const_word(1);
+            let set = exec.eq_w(field, one);
+            if exec.decide(set) {
+                value |= 1 << bit;
+            }
+        }
+        (value, model(exec))
+    }
+
+    fn config(jobs: usize) -> ExecConfig {
+        ExecConfig::new(jobs, EngineConfig::default())
+    }
+
+    fn run(cfg: &ExecConfig) -> ParallelOutcome<Out> {
+        explore_parallel_fork(cfg, &ForkBits, |_| false, None)
+    }
+
+    /// A printable fingerprint of everything a merged report is built from.
+    fn fingerprint(outcome: &ParallelOutcome<Out>) -> Vec<String> {
+        outcome
+            .paths
+            .iter()
+            .map(|p| {
+                format!(
+                    "{:?} value={} status={:?} vector={:?}",
+                    p.decisions, p.value.0, p.status, p.value.1
+                )
+            })
+            .collect()
+    }
+
     #[test]
-    fn fork_executor_matches_reexec_executor() {
-        let baseline = explore_parallel(&config(1), four_bit_task, |_| false, None);
-        for jobs in [1, 3] {
-            let outcome = explore_parallel_fork(&config(jobs), &ForkBits, |_| false, None);
+    fn drained_runs_are_identical_across_worker_counts() {
+        let baseline = run(&config(1));
+        assert_eq!(baseline.paths.len(), 16);
+        assert!(!baseline.frontier_exhausted);
+        let mut values: Vec<u32> = baseline.complete_values().map(|v| v.0).collect();
+        values.sort_unstable();
+        assert_eq!(values, (0..16).collect::<Vec<u32>>());
+        assert!(baseline.paths.iter().all(|p| p.value.1.is_some()));
+
+        for jobs in [2, 4] {
+            let outcome = run(&config(jobs));
             assert_eq!(fingerprint(&outcome), fingerprint(&baseline), "jobs={jobs}");
             assert_eq!(outcome.workers.len(), jobs);
         }
     }
 
     #[test]
+    fn all_strategies_drain_to_the_same_merge() {
+        let baseline = run(&config(1));
+        for strategy in [SearchStrategy::Bfs, SearchStrategy::RandomPath] {
+            let mut cfg = config(3);
+            cfg.engine.strategy = strategy;
+            assert_eq!(
+                fingerprint(&run(&cfg)),
+                fingerprint(&baseline),
+                "{strategy:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn repeated_runs_are_identical() {
+        assert_eq!(fingerprint(&run(&config(4))), fingerprint(&run(&config(4))));
+    }
+
+    #[test]
+    fn stop_predicate_cancels_the_run() {
+        let outcome = explore_parallel_fork(&config(2), &ForkBits, |p| p.value.0 == 5, None);
+        assert!(outcome.paths.iter().any(|p| p.value.0 == 5));
+        assert!(outcome.frontier_exhausted, "forks were left unexplored");
+    }
+
+    #[test]
+    fn path_budget_truncates() {
+        let mut cfg = config(2);
+        cfg.engine.max_paths = 5;
+        let outcome = run(&cfg);
+        assert!(outcome.paths.len() <= 5, "{} paths", outcome.paths.len());
+        assert!(outcome.frontier_exhausted);
+    }
+
+    #[test]
+    fn expired_deadline_stops_immediately() {
+        let mut cfg = config(2);
+        cfg.deadline = Some(Duration::ZERO);
+        let outcome = run(&cfg);
+        assert!(outcome.paths.is_empty());
+        assert!(outcome.frontier_exhausted);
+    }
+
+    #[test]
+    fn progress_events_bracket_the_run() {
+        let (tx, rx) = mpsc::channel();
+        let outcome = explore_parallel_fork(&config(2), &ForkBits, |_| false, Some(tx));
+        let events: Vec<ProgressEvent> = rx.iter().collect();
+        assert!(matches!(
+            events.first(),
+            Some(ProgressEvent::Started { jobs: 2 })
+        ));
+        assert!(matches!(
+            events.last(),
+            Some(ProgressEvent::Finished {
+                paths: 16,
+                truncated: false,
+                ..
+            })
+        ));
+        let path_events = events
+            .iter()
+            .filter(|e| matches!(e, ProgressEvent::PathDone { .. }))
+            .count();
+        assert_eq!(path_events, outcome.paths.len());
+        let worker_events = events
+            .iter()
+            .filter(|e| matches!(e, ProgressEvent::WorkerDone { .. }))
+            .count();
+        assert_eq!(worker_events, 2);
+    }
+
+    #[test]
     fn snapshot_bound_zero_degrades_to_replay() {
-        let baseline = explore_parallel(&config(1), four_bit_task, |_| false, None);
+        // With no resident snapshots every fork spills and replays its
+        // prefix from the root; so does a closure run as one step. Both
+        // are re-execution, and both must match the snapshotted run.
+        let baseline = run(&config(1));
         let mut cfg = config(2);
         cfg.engine.max_resident_snapshots = 0;
-        let outcome = explore_parallel_fork(&cfg, &ForkBits, |_| false, None);
-        assert_eq!(fingerprint(&outcome), fingerprint(&baseline));
+        assert_eq!(fingerprint(&run(&cfg)), fingerprint(&baseline));
+        for jobs in [1, 3] {
+            let replayed =
+                explore_parallel_fork(&config(jobs), &FnTask(four_bit_task), |_| false, None);
+            assert_eq!(
+                fingerprint(&replayed),
+                fingerprint(&baseline),
+                "jobs={jobs}"
+            );
+        }
     }
 
     #[test]
     fn infeasible_paths_survive_the_merge() {
         // assume() kills one branch; parallel and sequential agree on the
         // partial-path accounting.
-        let task = |exec: &mut SymExec<'_>| {
+        let task = FnTask(|exec: &mut ForkExec| {
             let x = exec.fresh_word("x");
             let ten = exec.const_word(10);
             let lt = exec.ult(x, ten);
@@ -677,9 +506,9 @@ mod tests {
             } else {
                 0
             }
-        };
-        let seq = explore_parallel(&config(1), task, |_| false, None);
-        let par = explore_parallel(&config(4), task, |_| false, None);
+        });
+        let seq = explore_parallel_fork(&config(1), &task, |_| false, None);
+        let par = explore_parallel_fork(&config(4), &task, |_| false, None);
         assert_eq!(seq.complete_paths, par.complete_paths);
         assert_eq!(seq.partial_paths, par.partial_paths);
         assert!(seq.partial_paths >= 1, "the contradiction must show up");

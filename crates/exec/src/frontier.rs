@@ -10,10 +10,9 @@ use crate::budget::Budget;
 
 /// One queue of pending jobs per worker, plus the termination protocol.
 ///
-/// The payload `T` is whatever identifies one unit of path work — a bare
-/// decision prefix (`Vec<bool>`) for the re-execution engine, a
-/// [`ForkJob`](symcosim_symex::ForkJob) wrapper carrying an optional state
-/// snapshot for the fork engine.
+/// The payload `T` is whatever identifies one unit of path work — for the
+/// executor, a [`ForkJob`](symcosim_symex::ForkJob) wrapper carrying an
+/// optional state snapshot.
 ///
 /// Workers pop from their own shard using the configured
 /// [`SearchStrategy`] and steal from siblings' *front* when they run dry —

@@ -1,12 +1,11 @@
 //! Parallel path-exploration executor.
 //!
-//! [`explore_parallel`] distributes the decision-prefix jobs a symbolic
-//! exploration generates over a pool of worker threads, each owning a
-//! private [`Engine`](symcosim_symex::Engine) (term context + SAT solver —
-//! the context is not `Sync`, so sharing is not an option).
-//! [`explore_parallel_fork`] is the same pool driving
-//! [`ForkEngine`](symcosim_symex::ForkEngine)s: frontier entries carry
-//! copy-on-write state snapshots where resident (worker-affine, under the
+//! [`explore_parallel_fork`] distributes the jobs a symbolic exploration
+//! generates over a pool of worker threads, each owning a private
+//! [`ForkEngine`](symcosim_symex::ForkEngine) (term context + SAT solver —
+//! the context is not `Sync`, so sharing is not an option). Frontier
+//! entries carry copy-on-write state snapshots where resident
+//! (worker-affine, under the
 //! [`max_resident_snapshots`](symcosim_symex::EngineConfig::max_resident_snapshots)
 //! bound) and degrade to decision-prefix replay where not. The pieces:
 //!
@@ -31,7 +30,7 @@
 //! one history-dependent quantity (CDCL phase saving and branching
 //! activity), which is why tasks extract witnesses from a fresh solver per
 //! query (see
-//! [`SymExec::stable_witness_vector`](symcosim_symex::SymExec::stable_witness_vector)). Explored
+//! [`ForkExec::stable_witness_vector`](symcosim_symex::ForkExec::stable_witness_vector)). Explored
 //! decision vectors are pairwise prefix-free (a forked sibling always
 //! extends the point where its parent diverged), so the lexicographic
 //! order is total and canonical.
@@ -46,8 +45,8 @@
 //! attaches each path's ternary-cube projection onto the instruction
 //! space to the payload, and because drained runs merge canonically, the
 //! resulting `symcosim-cert/1` certificate is byte-identical across
-//! engines and worker counts — the certificate depends only on the
-//! canonical path set, never on the schedule that produced it.
+//! worker counts — the certificate depends only on the canonical path
+//! set, never on the schedule that produced it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,8 +57,6 @@ mod frontier;
 mod progress;
 
 pub use budget::Budget;
-pub use executor::{
-    explore_parallel, explore_parallel_fork, ExecConfig, ParallelOutcome, WorkerReport,
-};
+pub use executor::{explore_parallel_fork, ExecConfig, ParallelOutcome, WorkerReport};
 pub use frontier::ShardedFrontier;
 pub use progress::ProgressEvent;

@@ -5,7 +5,7 @@ use symcosim_symex::{ProofAuditStats, QueryCacheStats, SolverChainStats, SolverS
 /// One observability event from a parallel exploration.
 ///
 /// Events are emitted on the optional channel passed to
-/// [`explore_parallel`](crate::explore_parallel); delivery order between
+/// [`explore_parallel_fork`](crate::explore_parallel_fork); delivery order between
 /// workers is the real execution order, so the stream is inherently
 /// non-deterministic (it reports scheduling — the merged result does not
 /// depend on it).
@@ -33,12 +33,8 @@ pub enum ProgressEvent {
     WorkerDone {
         /// Worker index.
         worker: usize,
-        /// Path records this worker produced.
+        /// Paths this worker explored.
         paths: usize,
-        /// Of those, records recovered from merged physical paths (a
-        /// merged path representing *k* arms contributes *k − 1*; zero
-        /// when merging is off).
-        merged: usize,
         /// Milliseconds this worker spent executing paths (excludes
         /// queue waits).
         busy_ms: u64,
@@ -54,11 +50,8 @@ pub enum ProgressEvent {
     },
     /// The exploration finished and the merge is complete.
     Finished {
-        /// Total path records explored.
+        /// Total paths explored.
         paths: usize,
-        /// Records recovered from merged physical paths across all
-        /// workers (zero when state merging is off).
-        merged: usize,
         /// Wall-clock milliseconds for the whole exploration.
         wall_ms: u64,
         /// Whether work was left unexplored (budget, deadline or stop
@@ -88,7 +81,6 @@ impl ProgressEvent {
             ProgressEvent::WorkerDone {
                 worker,
                 paths,
-                merged,
                 busy_ms,
                 solver,
                 cache,
@@ -96,7 +88,7 @@ impl ProgressEvent {
                 audit,
             } => format!(
                 "{{\"event\":\"worker_done\",\"worker\":{worker},\"paths\":{paths},\
-                 \"merged_paths\":{merged},\"busy_ms\":{busy_ms},\"solves\":{},\"decisions\":{},\"propagations\":{},\
+                 \"busy_ms\":{busy_ms},\"solves\":{},\"decisions\":{},\"propagations\":{},\
                  \"conflicts\":{},\"restarts\":{},\"learnt_clauses\":{},\
                  \"db_reductions\":{},\"learned_kept\":{},\
                  \"cache_hits\":{},\"cache_misses\":{},\
@@ -132,11 +124,10 @@ impl ProgressEvent {
             ),
             ProgressEvent::Finished {
                 paths,
-                merged,
                 wall_ms,
                 truncated,
             } => format!(
-                "{{\"event\":\"finished\",\"paths\":{paths},\"merged_paths\":{merged},\
+                "{{\"event\":\"finished\",\"paths\":{paths},\
                  \"wall_ms\":{wall_ms},\"truncated\":{truncated}}}"
             ),
         }
@@ -161,7 +152,6 @@ mod tests {
             ProgressEvent::WorkerDone {
                 worker: 1,
                 paths: 6,
-                merged: 1,
                 busy_ms: 200,
                 solver: SolverStats::default(),
                 cache: QueryCacheStats::default(),
@@ -170,7 +160,6 @@ mod tests {
             },
             ProgressEvent::Finished {
                 paths: 24,
-                merged: 2,
                 wall_ms: 300,
                 truncated: false,
             },
@@ -229,7 +218,6 @@ mod tests {
         let json = ProgressEvent::WorkerDone {
             worker: 0,
             paths: 1,
-            merged: 0,
             busy_ms: 2,
             solver,
             cache,

@@ -85,31 +85,6 @@ impl<D: Domain> IssCsrFile<D> {
         }
     }
 
-    /// Term-identical equality for veritesting-style state merging (see
-    /// [`Iss::merge_eq`](crate::Iss::merge_eq)): every register must be
-    /// the same hash-consed term handle, not merely semantically equal.
-    pub fn merge_eq(&self, other: &IssCsrFile<D>) -> bool
-    where
-        D::Word: PartialEq,
-    {
-        self.mstatus == other.mstatus
-            && self.mtvec == other.mtvec
-            && self.mepc == other.mepc
-            && self.mcause == other.mcause
-            && self.mtval == other.mtval
-            && self.mie == other.mie
-            && self.mip == other.mip
-            && self.mscratch == other.mscratch
-            && self.mcounteren == other.mcounteren
-            && self.medeleg == other.medeleg
-            && self.mideleg == other.mideleg
-            && self.mcycle == other.mcycle
-            && self.mcycleh == other.mcycleh
-            && self.minstret == other.minstret
-            && self.minstreth == other.minstreth
-            && self.hpm == other.hpm
-    }
-
     /// The trap vector base (`mtvec`).
     pub fn mtvec(&self) -> D::Word {
         self.mtvec

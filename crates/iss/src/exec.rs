@@ -139,22 +139,6 @@ impl<D: Domain> Iss<D> {
         self.retired
     }
 
-    /// Term-identical equality for veritesting-style state merging: true
-    /// when every symbolic component is the *same* hash-consed term handle
-    /// and every concrete component is equal. Not a semantic equivalence
-    /// check — distinct terms with equal values compare unequal, which is
-    /// sound (the merging engine just keeps such paths apart).
-    pub fn merge_eq(&self, other: &Iss<D>) -> bool
-    where
-        D::Word: PartialEq,
-    {
-        self.pc == other.pc
-            && self.regs == other.regs
-            && self.csr.merge_eq(&other.csr)
-            && self.config == other.config
-            && self.retired == other.retired
-    }
-
     /// Reads a register selected by a (possibly symbolic) index word.
     fn read_reg(&self, dom: &mut D, index: D::Word) -> D::Word {
         if let Some(i) = dom.word_value(index) {

@@ -19,7 +19,7 @@ use symcosim_isa::{
     decode, encode, BranchKind, CsrOp, Instr, LoadKind, OpKind, Reg, StoreKind, DECODE_TABLE,
 };
 
-use crate::pattern::{Pattern, PatternSet};
+use symcosim_isa::pattern::{Pattern, PatternSet};
 
 /// Two decode rules sharing at least one word.
 #[derive(Debug, Clone)]

@@ -2,7 +2,7 @@
 //!
 //! The first half drives a real single-instruction co-simulation
 //! symbolically (both models, shared symbolic instruction word, sliced
-//! symbolic registers) and runs [`SymExec::lint_path`] — the
+//! symbolic registers) and runs [`ForkExec::lint_path`] — the
 //! [`symcosim_symex::wf`] checker — over every explored path: term widths,
 //! constraint shape (boolean, satisfiable-looking, connected) and symbol
 //! coverage are re-validated on the exact DAGs the verification flow
@@ -21,7 +21,9 @@ use symcosim_iss::{ArrayBus, Iss, IssConfig};
 use symcosim_microrv32::{Core, CoreConfig};
 use symcosim_rtl::{DBusResponse, IBusResponse, RvfiRecord};
 use symcosim_symex::wf::WfIssueKind;
-use symcosim_symex::{ConcreteDomain, Domain, Engine, EngineConfig, SearchStrategy, SymExec};
+use symcosim_symex::{
+    ConcreteDomain, Domain, EngineConfig, FnTask, ForkEngine, ForkExec, SearchStrategy,
+};
 
 /// Result of the IR pass.
 #[derive(Debug, Clone)]
@@ -76,14 +78,14 @@ pub(crate) fn only_opcode_imem<D: Domain>(opcode: u32) -> SymbolicInstrMemory<D>
 /// Runs the symbolic pass and the `x0` audit.
 #[must_use]
 pub fn analyze() -> IrReport {
-    let mut engine = Engine::new(EngineConfig {
+    let mut engine = ForkEngine::new(EngineConfig {
         strategy: SearchStrategy::Dfs,
         max_paths: 4096,
         max_decisions_per_path: 4096,
         seed: 0x11e7,
         ..EngineConfig::default()
     });
-    let outcome = engine.explore(|exec: &mut SymExec<'_>| {
+    let outcome = engine.explore(&FnTask(|exec: &mut ForkExec| {
         let imem = only_opcode_imem(IR_OPCODE);
         let mut cosim = CoSim::new(
             exec,
@@ -104,7 +106,7 @@ pub fn analyze() -> IrReport {
         outputs.extend(cosim.core.registers().iter().copied());
         outputs.extend(cosim.iss.registers().iter().copied());
         exec.lint_path_with_outputs(&outputs)
-    });
+    }));
 
     let mut violations = Vec::new();
     let mut statically_false = 0u64;

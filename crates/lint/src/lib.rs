@@ -6,13 +6,12 @@
 //! and the *symbolic term DAGs* the engine builds while exploring them.
 //! This crate closes both gaps without a solver in the loop:
 //!
-//! * [`pattern`] — a ternary cube algebra over the 2^32 instruction-word
-//!   space. Every decode rule is a cube `(mask, value)`; cube subtraction
-//!   and pairwise overlap tests decide set questions exactly, with no
-//!   enumeration.
 //! * [`decode_space`] — four theorems over the shared
-//!   [`DECODE_TABLE`](symcosim_isa::DECODE_TABLE): *disjointness* (no two
-//!   rules overlap), *completeness* (rules plus the residual illegal set
+//!   [`DECODE_TABLE`](symcosim_isa::DECODE_TABLE), proved in the ternary
+//!   cube algebra of [`symcosim_isa::pattern`] (every decode rule is a
+//!   cube `(mask, value)`; cube subtraction and pairwise overlap tests
+//!   decide set questions exactly, with no enumeration): *disjointness*
+//!   (no two rules overlap), *completeness* (rules plus the residual illegal set
 //!   partition the space, with the exact counts), *encoder consistency*
 //!   (every encoder lands inside its own rule and decodes back) and
 //!   grounding probes against the real decoder.
@@ -27,9 +26,8 @@
 //!   write-discard choke points in both models.
 //! * [`dataflow`] — abstract-interpretation findings over a real BRANCH
 //!   sweep via the [`symcosim_symex::absint`] lattice: dead branches,
-//!   constant outputs, width-truncation hazards, unconstrained
-//!   output-influencing symbols, and the sibling-path merge-opportunity
-//!   report.
+//!   constant outputs, width-truncation hazards and unconstrained
+//!   output-influencing symbols.
 //! * [`coverage`] — offline re-certification of a dumped
 //!   `symcosim-report/1` document: re-derives the exploration-coverage
 //!   certificate (the run's paths partition the legal decode space) from
@@ -53,7 +51,6 @@ pub mod cross;
 pub mod dataflow;
 pub mod decode_space;
 pub mod ir;
-pub mod pattern;
 pub mod report;
 
 pub use audit::AuditReport;
@@ -61,5 +58,4 @@ pub use cross::CrossModelReport;
 pub use dataflow::DataflowReport;
 pub use decode_space::DecodeSpaceReport;
 pub use ir::IrReport;
-pub use pattern::{Pattern, PatternSet};
 pub use report::LintReport;

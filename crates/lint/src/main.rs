@@ -1,8 +1,7 @@
 //! The `symcosim-lint` command-line driver.
 //!
 //! ```text
-//! symcosim-lint [--all] [--decode] [--cross] [--ir]
-//!               [--dataflow [--merge-report]]
+//! symcosim-lint [--all] [--decode] [--cross] [--ir] [--dataflow]
 //!               [--coverage REPORT.json] [--audit AUDIT.json] [--json]
 //! ```
 //!
@@ -17,8 +16,7 @@ const USAGE: &str = "\
 symcosim-lint — static decode-space and symbolic-IR analysis
 
 USAGE:
-    symcosim-lint [--all] [--decode] [--cross] [--ir]
-                  [--dataflow [--merge-report]]
+    symcosim-lint [--all] [--decode] [--cross] [--ir] [--dataflow]
                   [--coverage REPORT.json] [--audit AUDIT.json] [--json]
 
         --decode    decode-space theorems: completeness, disjointness and
@@ -38,11 +36,6 @@ USAGE:
                     width-truncation hazards and unconstrained
                     output-influencing symbols, derived offline from the
                     known-bits + interval lattice with no solver queries
-        --merge-report
-                    with --dataflow: also group sibling paths (same
-                    decisions except the last) whose diverging constraints
-                    touch only fetch-slot bits disjoint from both output
-                    cones — provably mergeable path pairs
         --coverage  re-certify the exploration coverage of a dumped
                     symcosim-report/1 document (from `symcosim-cli verify
                     --report-json PATH`): prove the run's paths partition
@@ -69,7 +62,6 @@ fn run(args: &[String]) -> i32 {
     let mut cross_model = false;
     let mut ir_pass = false;
     let mut dataflow_pass = false;
-    let mut merge_report = false;
     let mut coverage_path: Option<String> = None;
     let mut audit_path: Option<String> = None;
     let mut iter = args.iter();
@@ -80,10 +72,6 @@ fn run(args: &[String]) -> i32 {
             "--cross" => cross_model = true,
             "--ir" => ir_pass = true,
             "--dataflow" => dataflow_pass = true,
-            "--merge-report" => {
-                dataflow_pass = true;
-                merge_report = true;
-            }
             "--coverage" => match iter.next() {
                 Some(path) => coverage_path = Some(path.clone()),
                 None => {
@@ -157,7 +145,7 @@ fn run(args: &[String]) -> i32 {
         decode: decode.then(decode_space::analyze),
         cross: cross_model.then(cross::analyze),
         ir: ir_pass.then(ir::analyze),
-        dataflow: dataflow_pass.then(|| dataflow::analyze(merge_report)),
+        dataflow: dataflow_pass.then(dataflow::analyze),
         coverage: cert,
         audit: audit_report,
     };

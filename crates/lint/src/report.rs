@@ -32,8 +32,7 @@ pub struct LintReport {
     /// Symbolic-IR well-formedness pass and `x0` audit.
     pub ir: Option<IrReport>,
     /// Abstract-interpretation dataflow pass over the BRANCH sweep
-    /// (`--dataflow`), optionally with the sibling merge-opportunity
-    /// analysis (`--merge-report`).
+    /// (`--dataflow`).
     pub dataflow: Option<DataflowReport>,
     /// Exploration-coverage certificate re-derived from a dumped session
     /// report (`--coverage`).
@@ -187,30 +186,6 @@ impl LintReport {
                         w.string_value(&dataflow.unconstrained_influencers[i]);
                     },
                 );
-                match &dataflow.merge {
-                    None => w.null_field("merge"),
-                    Some(merge) => {
-                        w.object_field("merge");
-                        w.number_field("sibling_groups", merge.sibling_groups as u64);
-                        w.number_field("fetch_slot_groups", merge.fetch_slot_groups as u64);
-                        w.number_field("mergeable_groups", merge.mergeable_groups as u64);
-                        w.bool_field("samples_truncated", merge.samples_truncated);
-                        w.array_field("samples", merge.samples.len(), |w, i| {
-                            let group = &merge.samples[i];
-                            w.open_object();
-                            w.number_field("depth", group.depth as u64);
-                            w.number_field("size", group.size as u64);
-                            w.array_field("paths", group.paths.len(), |w, k| {
-                                w.number_value(group.paths[k] as u64);
-                            });
-                            w.array_field("diverging_bits", group.diverging_bits.len(), |w, k| {
-                                w.string_value(&group.diverging_bits[k]);
-                            });
-                            w.close_object();
-                        });
-                        w.close_object();
-                    }
-                }
                 w.close_object();
             }
         }
@@ -383,30 +358,6 @@ impl fmt::Display for LintReport {
             }
             if dataflow.findings() == 0 {
                 writeln!(f, "  no dead branches; every path condition is live")?;
-            }
-            if let Some(merge) = &dataflow.merge {
-                writeln!(
-                    f,
-                    "  merge opportunities: {} sibling groups, {} diverging on \
-                     fetch-slot bits, {} provably mergeable",
-                    merge.sibling_groups, merge.fetch_slot_groups, merge.mergeable_groups
-                )?;
-                for group in &merge.samples {
-                    writeln!(
-                        f,
-                        "    MERGEABLE {} paths forked at decision {} on {}",
-                        group.size,
-                        group.depth,
-                        group.diverging_bits.join(", ")
-                    )?;
-                }
-                if merge.samples_truncated {
-                    writeln!(
-                        f,
-                        "    ({} more mergeable groups not sampled)",
-                        merge.mergeable_groups - merge.samples.len()
-                    )?;
-                }
             }
         }
         if let Some(cert) = &self.coverage {

@@ -10,9 +10,7 @@
 //! solver-answered queries keep their certificates intact and that the
 //! artifact schema round-trips through the independent checker.
 
-use symcosim_core::{
-    AuditDump, EngineKind, InstrConstraint, SessionConfig, VerifyReport, VerifySession,
-};
+use symcosim_core::{AuditDump, InstrConstraint, SessionConfig, VerifyReport, VerifySession};
 use symcosim_isa::opcodes;
 use symcosim_lint::audit;
 
@@ -22,7 +20,6 @@ fn audited_branch_config(preflight: bool) -> SessionConfig {
     config.constraint = InstrConstraint::OnlyOpcode(opcodes::BRANCH);
     config.collect_coverage = true;
     config.audit = true;
-    config.engine = EngineKind::Fork;
     config.preflight = preflight;
     config
 }

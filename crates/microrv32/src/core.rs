@@ -51,21 +51,6 @@ impl<D: Domain> Clone for SubAccess<D> {
     }
 }
 
-impl<D: Domain> SubAccess<D>
-where
-    D::Word: PartialEq,
-{
-    /// Field-by-field equality (see [`Core::merge_eq`]).
-    fn merge_eq(&self, other: &SubAccess<D>) -> bool {
-        self.word_addr == other.word_addr
-            && self.strobe == other.strobe
-            && self.bus_shift == other.bus_shift
-            && self.val_shift == other.val_shift
-            && self.bytes == other.bytes
-            && self.store_data == other.store_data
-    }
-}
-
 /// Load flavour, for final extension and fault injection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LoadFlavour {
@@ -96,26 +81,6 @@ impl<D: Domain> Clone for MemPlan<D> {
             flavour: self.flavour,
             rd: self.rd,
         }
-    }
-}
-
-impl<D: Domain> MemPlan<D>
-where
-    D::Word: PartialEq,
-{
-    /// Field-by-field equality (see [`Core::merge_eq`]).
-    fn merge_eq(&self, other: &MemPlan<D>) -> bool {
-        self.is_store == other.is_store
-            && self.current == other.current
-            && self.assembled == other.assembled
-            && self.flavour == other.flavour
-            && self.rd == other.rd
-            && self.subs.len() == other.subs.len()
-            && self
-                .subs
-                .iter()
-                .zip(&other.subs)
-                .all(|(a, b)| a.merge_eq(b))
     }
 }
 
@@ -259,33 +224,6 @@ impl<D: Domain> Core<D> {
     /// Clock cycles elapsed.
     pub fn cycles(&self) -> u64 {
         self.cycles
-    }
-
-    /// Term-identical equality for veritesting-style state merging: true
-    /// when every symbolic component is the *same* hash-consed term handle
-    /// and every concrete component is equal, so the continuation from
-    /// either state performs literally identical domain operations. Never
-    /// a semantic equivalence check — two distinct terms with equal values
-    /// compare unequal, which is sound (the engine just keeps the paths
-    /// apart).
-    pub fn merge_eq(&self, other: &Core<D>) -> bool
-    where
-        D::Word: PartialEq,
-    {
-        self.config == other.config
-            && self.inject == other.inject
-            && self.state == other.state
-            && self.pc == other.pc
-            && self.regs == other.regs
-            && self.csr.merge_eq(&other.csr)
-            && self.latched_instr == other.latched_instr
-            && match (&self.mem_plan, &other.mem_plan) {
-                (None, None) => true,
-                (Some(a), Some(b)) => a.merge_eq(b),
-                _ => false,
-            }
-            && self.retired == other.retired
-            && self.cycles == other.cycles
     }
 
     fn read_reg(&self, dom: &mut D, index: D::Word) -> D::Word {

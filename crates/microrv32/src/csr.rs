@@ -81,31 +81,6 @@ impl<D: Domain> CoreCsrFile<D> {
         }
     }
 
-    /// Term-identical equality for veritesting-style state merging (see
-    /// [`Core::merge_eq`](crate::Core::merge_eq)): every register must be
-    /// the same hash-consed term handle, not merely semantically equal.
-    pub fn merge_eq(&self, other: &CoreCsrFile<D>) -> bool
-    where
-        D::Word: PartialEq,
-    {
-        self.mstatus == other.mstatus
-            && self.mtvec == other.mtvec
-            && self.mepc == other.mepc
-            && self.mcause == other.mcause
-            && self.mtval == other.mtval
-            && self.mie == other.mie
-            && self.mip == other.mip
-            && self.medeleg == other.medeleg
-            && self.mideleg == other.mideleg
-            && self.mscratch == other.mscratch
-            && self.mcounteren == other.mcounteren
-            && self.mcycle == other.mcycle
-            && self.mcycleh == other.mcycleh
-            && self.minstret == other.minstret
-            && self.minstreth == other.minstreth
-            && self.hpm == other.hpm
-    }
-
     /// The trap vector base (`mtvec`).
     pub fn mtvec(&self) -> D::Word {
         self.mtvec

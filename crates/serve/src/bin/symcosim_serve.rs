@@ -14,8 +14,8 @@
 //!
 //! ```text
 //! symcosim-serve client --addr A submit [--preset P] [--opcode N]
-//!     [--slices N] [--instr-limit N] [--max-paths N]
-//!     [--engine fork|reexec] [--seed N] [--no-chain] [--audit]
+//!     [--slices N] [--instr-limit N] [--max-paths N] [--seed N]
+//!     [--no-chain] [--audit]
 //! symcosim-serve client --addr A status JOB
 //! symcosim-serve client --addr A wait JOB [--timeout-secs N]
 //! symcosim-serve client --addr A events JOB
@@ -31,7 +31,7 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use symcosim_core::json::JsonValue;
-use symcosim_core::{EngineKind, JobSpec};
+use symcosim_core::JobSpec;
 use symcosim_serve::http::{request, stream_lines};
 use symcosim_serve::{Server, ServerConfig};
 
@@ -196,13 +196,6 @@ fn submit(addr: &str, mut args: Vec<String>) -> Result<ExitCode, String> {
     }
     if let Some(paths) = flag_number(&mut args, "--max-paths")? {
         spec.max_paths = paths as usize;
-    }
-    if let Some(engine) = flag_value(&mut args, "--engine")? {
-        spec.engine = match engine.as_str() {
-            "fork" => EngineKind::Fork,
-            "reexec" => EngineKind::Reexec,
-            other => return Err(format!("unknown engine `{other}`")),
-        };
     }
     if let Some(seed) = flag_number(&mut args, "--seed")? {
         spec.seed = seed;

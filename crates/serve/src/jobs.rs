@@ -131,7 +131,6 @@ struct JobRecord {
     results: Vec<Option<CoverageSlice>>,
     paths_complete: usize,
     paths_partial: usize,
-    merged_paths: usize,
     findings: usize,
     busy_ms: u64,
     cache_hits: u64,
@@ -212,7 +211,6 @@ impl JobManager {
             slices_done: 0,
             paths_complete: 0,
             paths_partial: 0,
-            merged_paths: 0,
             findings: 0,
             busy_ms: 0,
             cache_hits: 0,
@@ -312,7 +310,6 @@ impl JobManager {
             ProgressEvent::WorkerDone {
                 worker: slice,
                 paths: report.paths_complete + report.paths_partial,
-                merged: report.merged_paths,
                 busy_ms,
                 solver: report.solver_stats,
                 cache: report.query_cache,
@@ -332,7 +329,6 @@ impl JobManager {
             let job = &mut jobs[id];
             job.paths_complete += report.paths_complete;
             job.paths_partial += report.paths_partial;
-            job.merged_paths += report.merged_paths;
             job.findings += report.findings.len();
             job.busy_ms += busy_ms;
             job.cache_hits += report.query_cache.hits;
@@ -382,7 +378,6 @@ impl JobManager {
                 job.events.push(
                     ProgressEvent::Finished {
                         paths: job.paths_complete + job.paths_partial,
-                        merged: job.merged_paths,
                         wall_ms: job.busy_ms,
                         truncated: merged.truncated,
                     }
@@ -429,7 +424,6 @@ impl JobManager {
         w.number_field("warm_slices", job.warm_slices as u64);
         w.number_field("paths_complete", job.paths_complete as u64);
         w.number_field("paths_partial", job.paths_partial as u64);
-        w.number_field("merged_paths", job.merged_paths as u64);
         w.number_field("findings", job.findings as u64);
         w.number_field("busy_ms", job.busy_ms);
         w.number_field("cache_hits", job.cache_hits);

@@ -843,121 +843,6 @@ fn ones_up_to(v: u64) -> u64 {
     }
 }
 
-/// Backward demanded-bits analysis: for every symbol reachable from
-/// `roots`, which of its bits can influence the roots' values.
-///
-/// The returned map sends each reachable `Symbol` term to a mask with a
-/// bit set for every symbol bit that some root may depend on. The
-/// analysis is a sound *over*-approximation in the direction merging
-/// needs: a bit absent from the mask provably cannot change any root, so
-/// two cones with disjoint masks are independent. (The converse does not
-/// hold — a masked bit may still be irrelevant.)
-///
-/// This is the bit-granular refinement of [`Fact::support`]: symbol-level
-/// supports cannot separate two uses of the same fetched instruction
-/// word, while demanded bits distinguish e.g. the register-selector
-/// fields of a branch from its immediate fields.
-#[must_use]
-pub fn demanded_bits(ctx: &Context, roots: &[TermId]) -> HashMap<TermId, u64> {
-    let mut demanded: Vec<u64> = vec![0; ctx.num_nodes()];
-    let mut symbols = HashMap::new();
-    let mut work: Vec<(TermId, u64)> = roots.iter().map(|&r| (r, mask(ctx.width(r), !0))).collect();
-    while let Some((id, m)) = work.pop() {
-        let fresh = m & !demanded[id.index()];
-        if fresh == 0 {
-            continue;
-        }
-        demanded[id.index()] |= fresh;
-        let m = demanded[id.index()];
-        let full = |t: TermId| mask(ctx.width(t), !0);
-        match ctx.node(id) {
-            Node::Const { .. } => {}
-            Node::Symbol { .. } => {
-                symbols.insert(id, m);
-            }
-            Node::Not(a) => work.push((a, m)),
-            // A constant mask caps what the other operand can contribute:
-            // `x & 0xf` never exposes bits above 3 (dually, `x | 0xf`
-            // pins bits 3:0 regardless of `x`). Field extractions are
-            // routinely lowered to shift-and-mask chains, so without this
-            // refinement every such chain would smear its demand across
-            // neighbouring encoding fields.
-            Node::And(a, b) => {
-                let cap = |side: TermId| match ctx.node(side) {
-                    Node::Const { value, .. } => m & value,
-                    _ => m,
-                };
-                work.push((a, cap(b)));
-                work.push((b, cap(a)));
-            }
-            Node::Or(a, b) => {
-                let cap = |side: TermId| match ctx.node(side) {
-                    Node::Const { value, .. } => m & !value,
-                    _ => m,
-                };
-                work.push((a, cap(b)));
-                work.push((b, cap(a)));
-            }
-            Node::Xor(a, b) => {
-                work.push((a, m));
-                work.push((b, m));
-            }
-            // Carries and partial products only propagate upward, so a
-            // demanded bit needs every operand bit at or below it.
-            Node::Add(a, b) | Node::Sub(a, b) | Node::Mul(a, b) => {
-                let low = ones_up_to(m) & full(a);
-                work.push((a, low));
-                work.push((b, low));
-            }
-            Node::Shl(a, b) | Node::Lshr(a, b) | Node::Ashr(a, b) => {
-                let shifted = match (ctx.node(id), ctx.const_value(b)) {
-                    (Node::Shl(..), Some(sh)) if sh < 64 => m >> sh,
-                    (Node::Lshr(..), Some(sh)) if sh < 64 => (m << sh) & full(a),
-                    (Node::Ashr(..), Some(sh)) if sh < 64 => {
-                        // The sign bit fills every vacated position.
-                        ((m << sh) & full(a)) | (1u64 << (ctx.width(a) - 1))
-                    }
-                    // Symbolic or saturating shift: every operand bit may
-                    // land anywhere.
-                    _ => full(a),
-                };
-                work.push((a, shifted));
-                work.push((b, full(b)));
-            }
-            Node::Eq(a, b) | Node::Ult(a, b) | Node::Slt(a, b) => {
-                work.push((a, full(a)));
-                work.push((b, full(b)));
-            }
-            Node::Ite(c, t, e) => {
-                work.push((c, 1));
-                work.push((t, m));
-                work.push((e, m));
-            }
-            Node::Extract { term, lo, .. } => {
-                work.push((term, m << lo));
-            }
-            Node::Concat { hi, lo } => {
-                let lo_width = ctx.width(lo);
-                work.push((lo, m & mask(lo_width, !0)));
-                work.push((hi, m >> lo_width));
-            }
-            Node::ZeroExt { term, .. } => {
-                work.push((term, m & full(term)));
-            }
-            Node::SignExt { term, .. } => {
-                let inner = ctx.width(term);
-                let mut inner_m = m & mask(inner, !0);
-                if m & !mask(inner, !0) != 0 {
-                    // An extension bit is demanded; it copies the sign.
-                    inner_m |= 1u64 << (inner - 1);
-                }
-                work.push((term, inner_m));
-            }
-        }
-    }
-    symbols
-}
-
 /// The signed range a fact admits at `width`, as `(min, max)`.
 fn signed_range(width: Width, fact: &Fact) -> (i64, i64) {
     let sign_bit = 1u64 << (width - 1);
@@ -1217,133 +1102,5 @@ mod tests {
         let mut absint = AbsInt::new();
         let support = absint.support(&ctx, pick);
         assert_eq!(&*support, &[x, y, z], "condition symbols are in the cone");
-    }
-
-    #[test]
-    fn demanded_bits_separate_instruction_fields() {
-        // The motivating case for the merge lint: different field
-        // extractions of one 32-bit word demand disjoint bit masks even
-        // though their symbol-level supports are identical.
-        let mut ctx = Context::new();
-        let word = ctx.symbol(32, "word");
-        let funct3 = ctx.extract(word, 14, 12);
-        let imm_hi = ctx.extract(word, 31, 25);
-        let two = ctx.constant(3, 2);
-        let decode = ctx.eq(funct3, two);
-        let target = ctx.zero_ext(imm_hi, 32);
-        let decode_bits = demanded_bits(&ctx, &[decode]);
-        let target_bits = demanded_bits(&ctx, &[target]);
-        assert_eq!(decode_bits[&word], 0b111 << 12);
-        assert_eq!(target_bits[&word], 0x7f << 25);
-        assert_eq!(decode_bits[&word] & target_bits[&word], 0);
-        // The same supports cannot tell them apart.
-        let mut absint = AbsInt::new();
-        assert_eq!(absint.support(&ctx, decode), absint.support(&ctx, target));
-    }
-
-    #[test]
-    fn demanded_bits_respect_constant_masks() {
-        // Field extraction lowered to shift-and-mask, the way immediate
-        // assembly builds terms: `(word >> 8) & 0xf` touches only bits
-        // 11:8, and the `| 0x3` below pins bits 1:0 outright. Without the
-        // constant refinement the demand would smear to bits 19:8.
-        let mut ctx = Context::new();
-        let word = ctx.symbol(32, "word");
-        let eight = ctx.constant(32, 8);
-        let shifted = ctx.lshr(word, eight);
-        let nibble_mask = ctx.constant(32, 0xf);
-        let field = ctx.and(shifted, nibble_mask);
-        let three = ctx.constant(32, 0x3);
-        let pinned = ctx.or(field, three);
-        let field_bits = demanded_bits(&ctx, &[field]);
-        assert_eq!(field_bits[&word], 0xf << 8);
-        let pinned_bits = demanded_bits(&ctx, &[pinned]);
-        assert_eq!(pinned_bits[&word], 0xc << 8);
-    }
-
-    #[test]
-    fn demanded_bits_widen_through_arithmetic_and_comparisons() {
-        let mut ctx = Context::new();
-        let x = ctx.symbol(8, "x");
-        let y = ctx.symbol(8, "y");
-        let sum = ctx.add(x, y);
-        let low = ctx.extract(sum, 1, 0);
-        // Bits 1:0 of a sum need bits 1:0 of both operands (carries only
-        // move upward).
-        let bits = demanded_bits(&ctx, &[low]);
-        assert_eq!(bits[&x], 0b11);
-        assert_eq!(bits[&y], 0b11);
-        // A comparison demands every operand bit.
-        let cmp = ctx.ult(x, y);
-        let bits = demanded_bits(&ctx, &[cmp]);
-        assert_eq!(bits[&x], 0xff);
-        assert_eq!(bits[&y], 0xff);
-    }
-
-    #[test]
-    fn fuzz_undemanded_bits_never_change_the_value() {
-        // Soundness of the backward pass: flipping any symbol bit NOT in
-        // the demanded mask must leave the root's concrete value intact.
-        let mut rng = 0x5eed_0002u64;
-        let mut next = move || {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            rng
-        };
-        for _ in 0..200 {
-            let mut ctx = Context::new();
-            let x = ctx.symbol(8, "x");
-            let y = ctx.symbol(8, "y");
-            let mut pool = vec![x, y, ctx.constant(8, next() & 0xff)];
-            for _ in 0..12 {
-                let a = pool[(next() as usize) % pool.len()];
-                let b = pool[(next() as usize) % pool.len()];
-                let t = match next() % 12 {
-                    0 => ctx.and(a, b),
-                    1 => ctx.or(a, b),
-                    2 => ctx.xor(a, b),
-                    3 => ctx.add(a, b),
-                    4 => ctx.sub(a, b),
-                    5 => ctx.mul(a, b),
-                    6 => ctx.not(a),
-                    7 => ctx.shl(a, b),
-                    8 => ctx.lshr(a, b),
-                    9 => {
-                        let hi = 1 + (next() % 7) as u32;
-                        let e = ctx.extract(a, hi, hi / 2);
-                        ctx.zero_ext(e, 8)
-                    }
-                    10 => {
-                        let c = ctx.eq(a, b);
-                        ctx.ite(c, a, b)
-                    }
-                    _ => ctx.ashr(a, b),
-                };
-                pool.push(t);
-            }
-            let root = *pool.last().unwrap();
-            let bits = demanded_bits(&ctx, &[root]);
-            let mut env = Env::new();
-            env.insert("x".to_string(), next() & 0xff);
-            env.insert("y".to_string(), next() & 0xff);
-            let baseline = eval(&ctx, root, &env);
-            for (sym, name) in [(x, "x"), (y, "y")] {
-                let demanded = bits.get(&sym).copied().unwrap_or(0);
-                for bit in 0..8 {
-                    if demanded & (1 << bit) != 0 {
-                        continue;
-                    }
-                    let mut flipped = env.clone();
-                    let v = flipped[name] ^ (1 << bit);
-                    flipped.insert(name.to_string(), v);
-                    assert_eq!(
-                        eval(&ctx, root, &flipped),
-                        baseline,
-                        "undemanded bit {bit} of {name} changed the root"
-                    );
-                }
-            }
-        }
     }
 }

@@ -3,7 +3,7 @@
 //! The reference ISS and the RTL core model are written once, generically
 //! over [`Domain`]. Instantiated with [`ConcreteDomain`] they run at native
 //! speed on `u32` values (used by the fuzzing baseline and the unit tests);
-//! instantiated with [`SymExec`](crate::SymExec) the same code executes
+//! instantiated with [`ForkExec`](crate::ForkExec) the same code executes
 //! symbolically, with every data-dependent branch routed through
 //! [`Domain::decide`], which forks the exploration — the role KLEE plays
 //! for the compiled C++ co-simulation in the paper.

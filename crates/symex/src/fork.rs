@@ -1,20 +1,21 @@
 //! Path exploration by copy-on-write snapshot forking.
 //!
-//! The re-execution [`Engine`](crate::Engine) pays O(d²) model steps for a
-//! decision tree of depth *d*: every scheduled prefix re-runs the user
-//! closure from cycle zero. This module restores KLEE's snapshotting
-//! discipline. A task is expressed as a *stepped* computation
-//! ([`ForkTask`]): the engine snapshots the task's cloneable state at every
-//! step boundary, and when a decision inside the step forks, the sibling
-//! job carries the snapshot plus the short intra-step *replay* window —
-//! resuming costs one clone instead of a full re-run.
+//! A task is expressed as a *stepped* computation ([`ForkTask`]): the
+//! engine snapshots the task's cloneable state at every step boundary, and
+//! when a decision inside the step forks, the sibling job carries the
+//! snapshot plus the short intra-step *replay* window — resuming costs one
+//! clone instead of a re-run from cycle zero, restoring KLEE's
+//! snapshotting discipline.
 //!
-//! Canonical path identity is preserved: the full decision bitstring is
-//! still recorded per path, forks are scheduled in the same order, and the
-//! frontier disciplines ([`SearchStrategy`]) mirror the re-execution engine
-//! bit for bit. A job whose snapshot has been dropped (memory spill,
-//! cross-worker migration) degrades gracefully to whole-prefix replay, so
-//! any job can always be completed from its prefix alone.
+//! Canonical path identity does not depend on snapshots: the full
+//! decision bitstring is recorded per path, forks are scheduled in
+//! creation order, and the frontier disciplines ([`SearchStrategy`]) are
+//! deterministic in the seed. A job whose snapshot has been dropped
+//! (memory spill, cross-worker migration) replays its whole decision
+//! prefix from the root, so any job can always be completed from its
+//! prefix alone. Re-execution is the case where every job spills
+//! ([`EngineConfig::max_resident_snapshots`] = 0), and a closure run as
+//! one step ([`FnTask`]) explores exactly that way.
 //!
 //! Shared-context invariant: all paths of one engine intern terms into a
 //! single append-only [`Context`]. A snapshot therefore never copies the
@@ -27,43 +28,10 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::engine::{EngineConfig, ExploreOutcome, PathResult, PathStatus, SearchStrategy};
-use crate::probe::PathProbe;
 use crate::solve::SolverBackend;
 use crate::term::{Node, TermId};
 use crate::wf::WfIssue;
 use crate::{Context, Domain, TestVector};
-
-/// Which path-exploration engine a session should use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineKind {
-    /// Deterministic re-execution ([`Engine`](crate::Engine)): every path
-    /// re-runs the model from cycle zero, replaying its decision prefix.
-    Reexec,
-    /// Copy-on-write snapshot forking ([`ForkEngine`]): decision points
-    /// clone the stepped task state instead of scheduling a re-run.
-    #[default]
-    Fork,
-}
-
-impl EngineKind {
-    /// Parses the CLI spelling (`"fork"` / `"reexec"`).
-    pub fn parse(token: &str) -> Option<EngineKind> {
-        match token {
-            "fork" => Some(EngineKind::Fork),
-            "reexec" => Some(EngineKind::Reexec),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for EngineKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EngineKind::Reexec => write!(f, "reexec"),
-            EngineKind::Fork => write!(f, "fork"),
-        }
-    }
-}
 
 /// What one [`ForkTask::step`] call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,58 +69,27 @@ pub trait ForkTask {
 
     /// Advances the path by one snapshot interval.
     fn step(&self, state: &mut Self::State, exec: &mut ForkExec) -> StepResult<Self::Out>;
-
-    /// Whether the engine may attempt veritesting-style state merging on
-    /// this task's paths (see [`crate::merge`]). A merge-capable task
-    /// must also implement [`states_equal`](ForkTask::states_equal),
-    /// [`merge_outputs`](ForkTask::merge_outputs) and
-    /// [`expand_arm`](ForkTask::expand_arm) coherently. Off by default.
-    fn merge_capable(&self) -> bool {
-        false
-    }
-
-    /// Whether two post-step states are term-identical — every symbolic
-    /// component is the same hash-consed [`TermId`] and every concrete
-    /// component is equal. Only such states may merge: the continuation
-    /// then performs literally identical domain operations on every arm,
-    /// which is what makes the per-arm records byte-identical to their
-    /// unmerged runs. The conservative default never merges.
-    fn states_equal(&self, _a: &Self::State, _b: &Self::State) -> bool {
-        false
-    }
-
-    /// The observable output frontier of a state: the terms whose values
-    /// the task's result exposes. The merge gate
-    /// ([`crate::merge::proves_mergeable`]) refuses to merge arms whose
-    /// diverging fetch-slot bits any of these terms demands.
-    fn merge_outputs(&self, _state: &Self::State) -> Vec<TermId> {
-        Vec::new()
-    }
-
-    /// Rebuilds the per-arm result value after the engine swapped a
-    /// merged arm's ledger into `exec` (constraints, origins and decision
-    /// prefix are the arm's; the state is the shared final state). All
-    /// extraction must be history-independent so the value matches the
-    /// arm's own unmerged run byte-for-byte. Returning `None` (the
-    /// default) makes the engine re-schedule the arm as a whole-prefix
-    /// replay instead.
-    fn expand_arm(&self, _state: &Self::State, _exec: &mut ForkExec) -> Option<Self::Out> {
-        None
-    }
 }
 
-/// The path ledger of one merged sibling arm (see [`crate::merge`]).
-///
-/// A merged physical path carries the primary arm's ledger in the
-/// [`ForkExec`] fields and one `MergeArm` per absorbed sibling. The arms
-/// share the task state and the symbol list with the primary — merging
-/// requires both to be identical — and diverge only in their constraint
-/// and decision history.
-#[derive(Debug, Clone)]
-struct MergeArm {
-    constraints: Vec<TermId>,
-    origins: Vec<crate::project::ConstraintOrigin>,
-    taken: Vec<bool>,
+/// A closure run as a one-step [`ForkTask`]: the whole path is a single
+/// step, so every forked sibling resumes from the empty pre-step snapshot
+/// and replays its decision prefix from the root — deterministic
+/// re-execution. For explorations too small to be worth snapshotting.
+#[derive(Debug, Clone, Copy)]
+pub struct FnTask<F>(pub F);
+
+impl<F, R> ForkTask for FnTask<F>
+where
+    F: Fn(&mut ForkExec) -> R,
+{
+    type State = ();
+    type Out = R;
+
+    fn start(&self, _exec: &mut ForkExec) {}
+
+    fn step(&self, _state: &mut (), exec: &mut ForkExec) -> StepResult<R> {
+        StepResult::Done((self.0)(exec))
+    }
 }
 
 /// A copy-on-write snapshot: the task state plus the engine-side path
@@ -170,13 +107,7 @@ struct Snapshot<S> {
     origins: Vec<crate::project::ConstraintOrigin>,
     taken: Vec<bool>,
     path_symbols: Vec<TermId>,
-    arms: Vec<MergeArm>,
 }
-
-/// What running one job produces: the path records of the physical path
-/// (one, or several when merged sibling arms rode along) plus the sibling
-/// jobs scheduled at fresh forks.
-pub type JobOutcome<S, O> = (Vec<PathResult<O>>, Vec<ForkJob<S>>);
 
 /// One schedulable unit of fork-engine work: a canonical decision prefix,
 /// optionally accelerated by a snapshot taken at the last step boundary
@@ -185,22 +116,12 @@ pub type JobOutcome<S, O> = (Vec<PathResult<O>>, Vec<ForkJob<S>>);
 pub struct ForkJob<S> {
     prefix: Vec<bool>,
     snapshot: Option<Arc<Snapshot<S>>>,
-    /// Decision prefixes of the merged sibling arms riding on this job
-    /// (empty for ordinary jobs). They are redundant with the snapshot's
-    /// arm ledgers while the snapshot is alive and become the re-split
-    /// replays when it is dropped — a bare prefix cannot reconstruct a
-    /// merge, so spilling a merged job must split it.
-    arm_prefixes: Vec<Vec<bool>>,
 }
 
 impl<S> ForkJob<S> {
     /// The root job: empty prefix, no snapshot.
     pub fn root() -> ForkJob<S> {
-        ForkJob {
-            prefix: Vec::new(),
-            snapshot: None,
-            arm_prefixes: Vec::new(),
-        }
+        ForkJob::from_prefix(Vec::new())
     }
 
     /// Rebuilds a job from a bare decision prefix (whole-path replay).
@@ -208,7 +129,6 @@ impl<S> ForkJob<S> {
         ForkJob {
             prefix,
             snapshot: None,
-            arm_prefixes: Vec::new(),
         }
     }
 
@@ -217,47 +137,29 @@ impl<S> ForkJob<S> {
         &self.prefix
     }
 
-    /// Consumes the job, returning its prefix.
-    pub fn into_prefix(self) -> Vec<bool> {
-        self.prefix
-    }
-
     /// Whether a snapshot is attached.
     pub fn has_snapshot(&self) -> bool {
         self.snapshot.is_some()
     }
 
-    /// The number of path records this job will produce when run: one,
-    /// plus one per merged sibling arm.
-    pub fn represented_paths(&self) -> usize {
-        1 + self.arm_prefixes.len()
-    }
-
-    /// Drops the snapshot, degrading the job to whole-prefix replays.
+    /// Drops the snapshot, degrading the job to a whole-prefix replay.
     /// This is the memory-bound spill and the cross-worker migration
-    /// path. An ordinary job spills to itself; a merged job re-splits
-    /// into one replay per arm, because a prefix alone cannot
-    /// reconstruct a merge.
-    pub fn split_on_spill(self) -> Vec<ForkJob<S>> {
-        let ForkJob {
-            prefix,
-            snapshot: _,
-            arm_prefixes,
-        } = self;
-        let mut out = Vec::with_capacity(1 + arm_prefixes.len());
-        out.push(ForkJob::from_prefix(prefix));
-        out.extend(arm_prefixes.into_iter().map(ForkJob::from_prefix));
-        out
+    /// path.
+    pub fn spill(self) -> ForkJob<S> {
+        ForkJob::from_prefix(self.prefix)
     }
 }
 
 /// Per-path symbolic executor of the [`ForkEngine`]; implements [`Domain`]
-/// over term handles exactly like [`SymExec`](crate::SymExec), plus an
-/// intra-step replay window for resuming from snapshots.
+/// over term handles, plus an intra-step replay window for resuming from
+/// snapshots.
 ///
-/// Unlike `SymExec` it owns the context and solver (they persist across
-/// paths inside the engine), so tasks hold `&mut ForkExec` only for the
-/// duration of a call.
+/// Beyond the `Domain` operations it offers the path-level queries
+/// verification harnesses (the voter, the mismatch reporter) need:
+/// [`ForkExec::check_sat`] (is a condition possible here?),
+/// [`ForkExec::add_constraint`] and history-independent model extraction.
+/// It owns the context and solver (they persist across paths inside the
+/// engine), so tasks hold `&mut ForkExec` only for the duration of a call.
 #[derive(Debug)]
 pub struct ForkExec {
     ctx: Context,
@@ -266,42 +168,13 @@ pub struct ForkExec {
     taken: Vec<bool>,
     constraints: Vec<TermId>,
     origins: Vec<crate::project::ConstraintOrigin>,
-    /// Pending forks of the current step: one entry per fork event, one
-    /// sibling prefix per arm (index 0 is the primary arm; unmerged
-    /// paths push single-element groups).
-    forks: Vec<Vec<Vec<bool>>>,
+    /// Sibling prefixes of the current step's forks, in creation order.
+    forks: Vec<Vec<bool>>,
     path_symbols: Vec<TermId>,
     status: PathStatus,
-    /// Ledgers of the merged sibling arms riding on this path (empty
-    /// while unmerged). Every decision, assumption and committed
-    /// constraint is recorded to the primary fields *and* to each arm in
-    /// lockstep, so the arms' intra-step suffixes stay identical.
-    arms: Vec<MergeArm>,
-    /// A merged-mode event (non-uniform feasibility across arms, or an
-    /// arm hitting the decision limit) made lockstep execution
-    /// impossible; the engine discards this run and re-splits every arm
-    /// into a whole-prefix replay.
-    abandoned: bool,
     max_decisions: usize,
     projector: crate::project::Projector,
     lanes: crate::lanes::LaneRewriter,
-}
-
-/// Saved per-path bookkeeping of a [`ForkExec`], so the engine can run a
-/// merge-lookahead path and then restore the interrupted one. The
-/// context, solver and projector are shared append-only services and
-/// deliberately not part of the checkpoint.
-#[derive(Debug)]
-struct PathCheckpoint {
-    replay: VecDeque<bool>,
-    taken: Vec<bool>,
-    constraints: Vec<TermId>,
-    origins: Vec<crate::project::ConstraintOrigin>,
-    forks: Vec<Vec<Vec<bool>>>,
-    path_symbols: Vec<TermId>,
-    status: PathStatus,
-    arms: Vec<MergeArm>,
-    abandoned: bool,
 }
 
 impl ForkExec {
@@ -316,69 +189,20 @@ impl ForkExec {
             forks: Vec::new(),
             path_symbols: Vec::new(),
             status: PathStatus::Complete,
-            arms: Vec::new(),
-            abandoned: false,
             max_decisions,
             projector: crate::project::Projector::new(),
             lanes: crate::lanes::LaneRewriter::default(),
         }
     }
 
-    fn save_path(&mut self) -> PathCheckpoint {
-        PathCheckpoint {
-            replay: std::mem::take(&mut self.replay),
-            taken: std::mem::take(&mut self.taken),
-            constraints: std::mem::take(&mut self.constraints),
-            origins: std::mem::take(&mut self.origins),
-            forks: std::mem::take(&mut self.forks),
-            path_symbols: std::mem::take(&mut self.path_symbols),
-            status: self.status,
-            arms: std::mem::take(&mut self.arms),
-            abandoned: self.abandoned,
-        }
-    }
-
-    fn restore_path(&mut self, saved: PathCheckpoint) {
-        self.replay = saved.replay;
-        self.taken = saved.taken;
-        self.constraints = saved.constraints;
-        self.origins = saved.origins;
-        self.forks = saved.forks;
-        self.path_symbols = saved.path_symbols;
-        self.status = saved.status;
-        self.arms = saved.arms;
-        self.abandoned = saved.abandoned;
-    }
-
-    /// Records a decision constraint to the primary ledger and to every
-    /// merged arm in lockstep. Per-arm decision indices differ because
-    /// the arms' prefixes have different lengths.
-    fn record_decision(&mut self, cond: TermId, choice: bool) {
-        let constraint = if choice { cond } else { self.ctx.not(cond) };
+    /// Records a decision constraint on the path.
+    fn record_decision(&mut self, constraint: TermId, choice: bool) {
         self.constraints.push(constraint);
         self.origins
             .push(crate::project::ConstraintOrigin::Decision(
                 self.taken.len() as u32
             ));
         self.taken.push(choice);
-        for arm in &mut self.arms {
-            arm.constraints.push(constraint);
-            arm.origins.push(crate::project::ConstraintOrigin::Decision(
-                arm.taken.len() as u32
-            ));
-            arm.taken.push(choice);
-        }
-    }
-
-    /// Records an assumed constraint to the primary ledger and to every
-    /// merged arm in lockstep.
-    fn record_assumed(&mut self, cond: TermId) {
-        self.constraints.push(cond);
-        self.origins.push(crate::project::ConstraintOrigin::Assumed);
-        for arm in &mut self.arms {
-            arm.constraints.push(cond);
-            arm.origins.push(crate::project::ConstraintOrigin::Assumed);
-        }
     }
 
     /// The term context (symbolic values are [`TermId`]s into it).
@@ -391,27 +215,25 @@ impl ForkExec {
         &self.constraints
     }
 
-    /// The node behind `term`.
+    /// The node behind `term`: the structural view a harness matches
+    /// against (the voter's register-congruence rule reads `ite` and
+    /// `== constant` shapes through it).
     pub fn node(&self, term: TermId) -> Node {
         self.ctx.node(term)
     }
 
     /// Whether `cond` is satisfiable together with the path condition —
-    /// *without* committing to it (see
-    /// [`SymExec::check_sat`](crate::SymExec::check_sat)).
+    /// *without* committing to it.
+    ///
+    /// This is the voter's primitive: "can the two models disagree here?".
     ///
     /// A query that does not fold is first rebuilt with the lane constants
-    /// the path forces (see [`crate::lanes`]); on a merged path, only
-    /// those every arm forces.
+    /// the path forces (see [`crate::lanes`]).
     pub fn check_sat(&mut self, cond: TermId) -> bool {
         if let Some(value) = self.ctx.const_value(cond) {
             return value == 1;
         }
-        let mut facts = crate::lanes::forced_lanes(&self.ctx, &self.constraints);
-        for arm in &self.arms {
-            let arm_facts = crate::lanes::forced_lanes(&self.ctx, &arm.constraints);
-            facts.retain(|fact| arm_facts.contains(fact));
-        }
+        let facts = crate::lanes::forced_lanes(&self.ctx, &self.constraints);
         let query = self.lanes.rewrite(&mut self.ctx, facts, cond);
         let sat = self.path_sat(query);
         #[cfg(debug_assertions)]
@@ -425,75 +247,60 @@ impl ForkExec {
         sat
     }
 
-    /// [`ForkExec::check_sat`] without the lane rewrite. Debug builds
-    /// check rewritten answers and the voter's skipped miters against it.
+    /// Debug builds: [`ForkExec::check_sat`] asked as it is, with no query
+    /// rewrite. The reference that rewritten answers and the voter's
+    /// skipped miters are checked against.
+    #[cfg(debug_assertions)]
+    pub fn reference_sat(&mut self, cond: TermId) -> bool {
+        self.path_sat(cond)
+    }
+
+    /// [`ForkExec::check_sat`] without the lane rewrite.
     fn path_sat(&mut self, cond: TermId) -> bool {
         if let Some(value) = self.ctx.const_value(cond) {
             return value == 1;
         }
-        if self.arms.is_empty() {
-            // During replay this is usually a cache hit: the parent path
-            // asked the identical condition set.
-            self.backend.prefix_sync(&self.constraints);
-            return self.backend.check_suffix(&self.ctx, &[cond]).is_sat();
-        }
-        // Merged: the answer must be uniform across the arms to stay in
-        // lockstep; a split vote abandons the merge and the caller's
-        // result is discarded with the rest of the run.
-        let mut answer = None;
-        for i in 0..=self.arms.len() {
-            let prefix = if i == 0 {
-                &self.constraints
-            } else {
-                &self.arms[i - 1].constraints
-            };
-            self.backend.prefix_sync(prefix);
-            let sat = self.backend.check_suffix(&self.ctx, &[cond]).is_sat();
-            match answer {
-                None => answer = Some(sat),
-                Some(first) if first == sat => {}
-                Some(first) => {
-                    self.abandoned = true;
-                    return first;
-                }
-            }
-        }
-        answer.expect("at least the primary arm")
+        // During replay this is usually a cache hit: the parent path
+        // asked the identical condition set.
+        self.backend.prefix_sync(&self.constraints);
+        self.backend.check_suffix(&self.ctx, &[cond]).is_sat()
     }
 
-    /// Permanently adds `cond` to the path condition (of every arm, when
-    /// merged — committed constraints come from the task, which runs in
-    /// lockstep).
+    /// Permanently adds `cond` to the path condition (it is already known
+    /// to hold, e.g. after a mismatch witness has been found).
     pub fn add_constraint(&mut self, cond: TermId) {
         self.constraints.push(cond);
         self.origins
             .push(crate::project::ConstraintOrigin::Committed);
-        for arm in &mut self.arms {
-            arm.constraints.push(cond);
-            arm.origins
-                .push(crate::project::ConstraintOrigin::Committed);
-        }
     }
 
     /// Projects this path's condition onto every symbolic fetch slot whose
-    /// symbol name starts with `slot_prefix`, matching
-    /// [`SymExec::project_coverage`](crate::SymExec::project_coverage).
+    /// symbol name starts with `slot_prefix` (see
+    /// [`Projector::project_path`](crate::Projector::project_path)) — the
+    /// coverage certifier's input. Constraints committed via
+    /// [`ForkExec::add_constraint`] are excluded (they narrow the path
+    /// *after* its behaviour class is fixed).
     #[must_use]
     pub fn project_coverage(&mut self, slot_prefix: &str) -> Vec<crate::project::SlotCoverage> {
         self.projector
             .project_path(&self.ctx, slot_prefix, &self.constraints, &self.origins)
     }
 
-    /// History-independent witness extraction (fresh solver), matching
-    /// [`SymExec::stable_concrete_witness`](crate::SymExec::stable_concrete_witness).
+    /// A concrete witness for `term` under the path condition plus
+    /// `extra`, extracted from a fresh solver: the value depends only on
+    /// the path condition plus `extra`, not on the query history of the
+    /// engine's persistent solver. Reports that must be identical across
+    /// sequential and parallel exploration extract their witnesses
+    /// through this. `None` if the combined constraints are infeasible.
     pub fn stable_concrete_witness(&mut self, term: TermId, extra: &[TermId]) -> Option<u64> {
         let mut conditions = self.constraints.clone();
         conditions.extend_from_slice(extra);
         crate::solve::fresh_model_value(&self.ctx, &conditions, term)
     }
 
-    /// History-independent test-vector extraction (fresh solver), matching
-    /// [`SymExec::stable_witness_vector`](crate::SymExec::stable_witness_vector).
+    /// A history-independent test vector (KLEE's `.ktest` equivalent) for
+    /// the path condition plus `extra`, covering the symbols created on
+    /// this path (fresh solver; see [`ForkExec::stable_concrete_witness`]).
     pub fn stable_witness_vector(&mut self, extra: &[TermId]) -> Option<TestVector> {
         let mut conditions = self.constraints.clone();
         conditions.extend_from_slice(extra);
@@ -526,16 +333,6 @@ impl ForkExec {
         }
     }
 
-    #[cfg(debug_assertions)]
-    fn debug_check_path(&self) {
-        crate::solve::debug_check_path(
-            &self.ctx,
-            &self.constraints,
-            &self.path_symbols,
-            self.status,
-        );
-    }
-
     fn begin_path<S>(&mut self, prefix: Vec<bool>, snapshot: Option<&Snapshot<S>>) {
         match snapshot {
             Some(snap) => {
@@ -546,7 +343,6 @@ impl ForkExec {
                 self.constraints = snap.constraints.clone();
                 self.origins = snap.origins.clone();
                 self.path_symbols = snap.path_symbols.clone();
-                self.arms = snap.arms.clone();
             }
             None => {
                 self.replay = prefix.into_iter().collect();
@@ -554,12 +350,10 @@ impl ForkExec {
                 self.constraints = Vec::new();
                 self.origins = Vec::new();
                 self.path_symbols = Vec::new();
-                self.arms = Vec::new();
             }
         }
         self.forks = Vec::new();
         self.status = PathStatus::Complete;
-        self.abandoned = false;
     }
 }
 
@@ -673,97 +467,36 @@ impl Domain for ForkExec {
         if let Some(choice) = self.replay.pop_front() {
             // Replaying a forced window (snapshot resume or spilled
             // prefix): feasibility was established when the fork was
-            // scheduled, no solver call needed. Merged arms replay the
-            // same window in lockstep — their intra-step suffixes are
-            // identical by construction.
-            self.record_decision(cond, choice);
+            // scheduled, no solver call needed.
+            let constraint = if choice { cond } else { self.ctx.not(cond) };
+            self.record_decision(constraint, choice);
             return choice;
         }
-        if self.taken.len() >= self.max_decisions
-            || self
-                .arms
-                .iter()
-                .any(|arm| arm.taken.len() >= self.max_decisions)
-        {
-            if self.arms.is_empty() {
-                self.kill(PathStatus::DecisionLimit);
-            } else {
-                // Killing a merged path at the limit would stamp
-                // DecisionLimit on arms whose own unmerged runs may not
-                // have reached it yet; re-split instead.
-                self.abandoned = true;
-            }
+        if self.taken.len() >= self.max_decisions {
+            self.kill(PathStatus::DecisionLimit);
             return false;
         }
         let negated = self.ctx.not(cond);
-        if self.arms.is_empty() {
-            // Both polarity probes share the whole path condition as their
-            // prefix; suffix queries let the incremental solver retain the
-            // prefix's propagation trail between them.
-            self.backend.prefix_sync(&self.constraints);
-            let true_feasible = self.backend.check_suffix(&self.ctx, &[cond]).is_sat();
-            let (choice, constraint) = if true_feasible {
-                if self.backend.check_suffix(&self.ctx, &[negated]).is_sat() {
-                    // Both sides feasible: fork, continue on `true`.
-                    let mut sibling = self.taken.clone();
-                    sibling.push(false);
-                    self.forks.push(vec![sibling]);
-                }
-                (true, cond)
-            } else {
-                // The path condition is feasible by induction, so `false` is.
-                (false, negated)
-            };
-            self.constraints.push(constraint);
-            self.backend.prefix_push(constraint);
-            self.origins
-                .push(crate::project::ConstraintOrigin::Decision(
-                    self.taken.len() as u32
-                ));
-            self.taken.push(choice);
-            return choice;
-        }
-        // Merged: classify each arm as fork (both polarities feasible),
-        // true-only, or false-only. Lockstep survives only a uniform
-        // classification; anything mixed abandons the merge.
-        let mut class: Option<(bool, bool)> = None;
-        for i in 0..=self.arms.len() {
-            let prefix = if i == 0 {
-                &self.constraints
-            } else {
-                &self.arms[i - 1].constraints
-            };
-            self.backend.prefix_sync(prefix);
-            let t = self.backend.check_suffix(&self.ctx, &[cond]).is_sat();
-            // Each arm's path condition is feasible by induction, so `!t`
-            // implies the false side is.
-            let f = !t || self.backend.check_suffix(&self.ctx, &[negated]).is_sat();
-            match class {
-                None => class = Some((t, f)),
-                Some(c) if c == (t, f) => {}
-                Some(_) => {
-                    self.abandoned = true;
-                    return false;
-                }
-            }
-        }
-        let (t, f) = class.expect("at least the primary arm");
-        if t && f {
-            // Uniform fork: one fork event carrying a sibling prefix per
-            // arm, so the sibling job stays merged too.
-            let mut group = Vec::with_capacity(1 + self.arms.len());
-            let mut sibling = self.taken.clone();
-            sibling.push(false);
-            group.push(sibling);
-            for arm in &self.arms {
-                let mut sibling = arm.taken.clone();
+        // Both polarity probes share the whole path condition as their
+        // prefix; suffix queries let the incremental solver retain the
+        // prefix's propagation trail between them.
+        self.backend.prefix_sync(&self.constraints);
+        let true_feasible = self.backend.check_suffix(&self.ctx, &[cond]).is_sat();
+        let (choice, constraint) = if true_feasible {
+            if self.backend.check_suffix(&self.ctx, &[negated]).is_sat() {
+                // Both sides feasible: fork, continue on `true`.
+                let mut sibling = self.taken.clone();
                 sibling.push(false);
-                group.push(sibling);
+                self.forks.push(sibling);
             }
-            self.forks.push(group);
-        }
-        self.record_decision(cond, t);
-        t
+            (true, cond)
+        } else {
+            // The path condition is feasible by induction, so `false` is.
+            (false, negated)
+        };
+        self.backend.prefix_push(constraint);
+        self.record_decision(constraint, choice);
+        choice
     }
 
     fn assume(&mut self, cond: TermId) {
@@ -782,114 +515,38 @@ impl Domain for ForkExec {
             // Inside the replayed window the identical constraint set was
             // checked satisfiable on the parent path (the parent stayed
             // alive past this point, and the flipped branch itself was
-            // checked at fork time), so the re-execution engine's check
-            // here is guaranteed Sat — skip it.
-            self.record_assumed(cond);
-            return;
-        }
-        if self.arms.is_empty() {
-            self.backend.prefix_sync(&self.constraints);
-            let feasible = self.backend.check_suffix(&self.ctx, &[cond]).is_sat();
+            // checked at fork time), so the check is guaranteed Sat —
+            // skip it.
             self.constraints.push(cond);
-            self.backend.prefix_push(cond);
             self.origins.push(crate::project::ConstraintOrigin::Assumed);
-            if !feasible {
-                self.kill(PathStatus::Infeasible);
-            }
             return;
         }
-        // Merged: uniform feasibility keeps the lockstep (all feasible →
-        // record; all infeasible → record and die, exactly as each
-        // unmerged arm would); a mixed vote abandons the merge without
-        // recording anything.
-        let mut any = false;
-        let mut all = true;
-        for i in 0..=self.arms.len() {
-            let prefix = if i == 0 {
-                &self.constraints
-            } else {
-                &self.arms[i - 1].constraints
-            };
-            self.backend.prefix_sync(prefix);
-            let feasible = self.backend.check_suffix(&self.ctx, &[cond]).is_sat();
-            any |= feasible;
-            all &= feasible;
-        }
-        if all {
-            self.record_assumed(cond);
-        } else if !any {
-            self.record_assumed(cond);
+        self.backend.prefix_sync(&self.constraints);
+        let feasible = self.backend.check_suffix(&self.ctx, &[cond]).is_sat();
+        self.constraints.push(cond);
+        self.backend.prefix_push(cond);
+        self.origins.push(crate::project::ConstraintOrigin::Assumed);
+        if !feasible {
             self.kill(PathStatus::Infeasible);
-        } else {
-            self.abandoned = true;
         }
     }
 
     fn is_dead(&self) -> bool {
-        self.status != PathStatus::Complete || self.abandoned
+        self.status != PathStatus::Complete
     }
 }
 
-impl PathProbe for ForkExec {
-    fn constraints(&self) -> &[TermId] {
-        ForkExec::constraints(self)
-    }
-
-    fn node(&self, term: TermId) -> Node {
-        ForkExec::node(self, term)
-    }
-
-    #[cfg(debug_assertions)]
-    fn reference_sat(&mut self, cond: TermId) -> bool {
-        self.path_sat(cond)
-    }
-
-    fn check_sat(&mut self, cond: TermId) -> bool {
-        ForkExec::check_sat(self, cond)
-    }
-
-    fn add_constraint(&mut self, cond: TermId) {
-        ForkExec::add_constraint(self, cond)
-    }
-
-    fn stable_concrete_witness(&mut self, term: TermId, extra: &[TermId]) -> Option<u64> {
-        ForkExec::stable_concrete_witness(self, term, extra)
-    }
-
-    fn stable_witness_vector(&mut self, extra: &[TermId]) -> Option<TestVector> {
-        ForkExec::stable_witness_vector(self, extra)
-    }
-
-    fn lint_path(&self) -> Vec<WfIssue> {
-        ForkExec::lint_path(self)
-    }
-
-    fn lint_path_with_outputs(&self, outputs: &[TermId]) -> Vec<WfIssue> {
-        ForkExec::lint_path_with_outputs(self, outputs)
-    }
-
-    fn project_coverage(&mut self, slot_prefix: &str) -> Vec<crate::project::SlotCoverage> {
-        ForkExec::project_coverage(self, slot_prefix)
-    }
-}
-
-/// The snapshotting exploration engine — [`Engine`](crate::Engine)'s
-/// copy-on-write twin.
+/// The snapshotting exploration engine: the one path engine.
 ///
-/// Explores the same canonical path tree with the same frontier
-/// disciplines and the same `--seed` determinism, but resumes forked paths
-/// from cloned state instead of re-running them. See the
-/// [module docs](self) for the architecture.
+/// Owns the term [`Context`] and the incremental [`SolverBackend`] (inside
+/// its [`ForkExec`]); both are shared across paths so hash-consed terms
+/// and learnt clauses carry over. See the [module docs](self) for the
+/// architecture and the [crate documentation](crate) for an example.
 #[derive(Debug)]
 pub struct ForkEngine {
     exec: ForkExec,
     config: EngineConfig,
     rng_state: u64,
-    /// How many *additional* paths the driver still wants beyond the jobs
-    /// it already holds (see [`ForkEngine::set_merge_headroom`]). Bounds
-    /// the merge lookahead so a truncated run never pays for subtree
-    /// expansion its budget will discard.
-    merge_headroom: usize,
 }
 
 impl ForkEngine {
@@ -906,27 +563,7 @@ impl ForkEngine {
             exec,
             config: config.clone(),
             rng_state: config.seed | 1,
-            merge_headroom: usize::MAX,
         }
-    }
-
-    /// Sets the merge lookahead's path headroom for subsequent
-    /// [`ForkEngine::run_job`] calls: the number of paths the driver's
-    /// budget still admits beyond the jobs already queued.
-    ///
-    /// The lookahead fully expands each step's fork subtree before
-    /// merging. On a drained run every expanded leaf is work the engine
-    /// would do anyway (the post-step snapshot jobs carry it forward),
-    /// but on a *truncated* run leaves beyond the budget are pure waste —
-    /// on the full RV32I+Zicsr space that waste is orders of magnitude
-    /// (hard data-dependent solves for siblings the budget never visits).
-    /// Capping the expansion at the headroom keeps merged truncated runs
-    /// within a small factor of unmerged ones while leaving drained
-    /// sweeps (headroom ≫ fan-out) untouched. The headroom is an explicit
-    /// input, not solver state, so `run_job` stays a pure function of
-    /// (job, task, headroom). Defaults to `usize::MAX` (unbounded).
-    pub fn set_merge_headroom(&mut self, headroom: usize) {
-        self.merge_headroom = headroom;
     }
 
     /// Read access to the term context.
@@ -957,31 +594,24 @@ impl ForkEngine {
         self.exec.backend.import_chain_seed(seed);
     }
 
-    /// Runs the single physical path selected by `job` and returns its
-    /// path records — one, or several when merged sibling arms rode along
-    /// (see [`crate::merge`]) — plus the sibling jobs scheduled at fresh
-    /// forks.
+    /// Runs the single path selected by `job` and returns its result plus
+    /// the sibling jobs scheduled at fresh forks, in creation order
+    /// (shallowest first).
     ///
-    /// The counterpart of [`Engine::run_prefix`](crate::Engine::run_prefix)
-    /// — everything except the task's own value is a pure function of the
-    /// job's prefix and the task, so a snapshotted job and its spilled
-    /// twin produce identical results. An abandoned merge returns no
-    /// records and re-splits every arm into whole-prefix replay jobs.
+    /// This is [`ForkEngine::explore_until`]'s loop body, exposed so an
+    /// external scheduler (the parallel executor) can drive its own
+    /// frontier. Everything except the task's own value is a pure
+    /// function of the job's prefix and the task — feasibility answers are
+    /// objective, independent of the persistent solver's query history —
+    /// so a snapshotted job and its spilled twin produce identical
+    /// results, and two engines given the same job agree whatever they
+    /// ran before.
     pub fn run_job<T: ForkTask>(
         &mut self,
         job: ForkJob<T::State>,
         task: &T,
-    ) -> JobOutcome<T::State, T::Out> {
-        let ForkJob {
-            prefix,
-            snapshot,
-            arm_prefixes,
-        } = job;
-        debug_assert_eq!(
-            arm_prefixes.len(),
-            snapshot.as_deref().map_or(0, |s| s.arms.len()),
-            "a job's spill prefixes must mirror its snapshot's arms"
-        );
+    ) -> (PathResult<T::Out>, Vec<ForkJob<T::State>>) {
+        let ForkJob { prefix, snapshot } = job;
         self.exec.begin_path(prefix, snapshot.as_deref());
         // Move out of the snapshot when this job holds the last reference;
         // clone only when siblings still share it.
@@ -1007,92 +637,29 @@ impl ForkEngine {
                     let constraints_mark = self.exec.constraints.len();
                     let taken_mark = self.exec.taken.len();
                     let symbols_mark = self.exec.path_symbols.len();
-                    let arm_marks: Vec<(usize, usize)> = self
-                        .exec
-                        .arms
-                        .iter()
-                        .map(|arm| (arm.constraints.len(), arm.taken.len()))
-                        .collect();
                     let mut next = pre_state.clone();
                     let done = match task.step(&mut next, &mut self.exec) {
                         StepResult::Continue => None,
                         StepResult::Done(out) => Some(out),
                     };
-                    let snap = if self.exec.forks.is_empty() || self.exec.abandoned {
-                        None
-                    } else {
-                        Some(Arc::new(Snapshot {
+                    let snap = (!self.exec.forks.is_empty()).then(|| {
+                        Arc::new(Snapshot {
                             state: pre_state,
                             constraints: self.exec.constraints[..constraints_mark].to_vec(),
                             origins: self.exec.origins[..constraints_mark].to_vec(),
                             taken: self.exec.taken[..taken_mark].to_vec(),
                             path_symbols: self.exec.path_symbols[..symbols_mark].to_vec(),
-                            arms: self
-                                .exec
-                                .arms
-                                .iter()
-                                .zip(&arm_marks)
-                                .map(|(arm, &(cmark, tmark))| MergeArm {
-                                    constraints: arm.constraints[..cmark].to_vec(),
-                                    origins: arm.origins[..cmark].to_vec(),
-                                    taken: arm.taken[..tmark].to_vec(),
-                                })
-                                .collect(),
-                        }))
-                    };
+                        })
+                    });
                     state = Some(next);
                     (done, snap)
                 }
             };
-            if self.exec.abandoned {
-                // Lockstep broke mid-step: nothing from this run can be
-                // trusted to match unmerged execution. Discard the run and
-                // re-split everything still pending — the interrupted
-                // decision recorded nothing, so each replay regenerates
-                // its own forks live. Earlier steps' sibling jobs (already
-                // in `jobs`) are unaffected.
-                for group in std::mem::take(&mut self.exec.forks) {
-                    for sibling in group {
-                        jobs.push(ForkJob::from_prefix(sibling));
-                    }
-                }
-                jobs.push(ForkJob::from_prefix(self.exec.taken.clone()));
-                for arm in std::mem::take(&mut self.exec.arms) {
-                    jobs.push(ForkJob::from_prefix(arm.taken));
-                }
-                return (Vec::new(), jobs);
-            }
-            let mut step_jobs: Vec<ForkJob<T::State>> = Vec::new();
-            if !self.exec.forks.is_empty() {
-                for group in std::mem::take(&mut self.exec.forks) {
-                    let mut group = group.into_iter();
-                    let sibling = group.next().expect("fork event has a primary arm");
-                    step_jobs.push(ForkJob {
-                        prefix: sibling,
-                        snapshot: snap.clone(),
-                        arm_prefixes: group.collect(),
-                    });
-                }
-            }
-            // Merging only when the remaining budget can absorb a
-            // worst-case lookahead expansion guarantees no expanded leaf
-            // is beyond-budget work: each emitted group job produces at
-            // least one record, so every leaf occupies a slot the driver
-            // still has. Below that line a truncated run would pay hard
-            // lookahead and lockstep-vote solves for paths it discards.
-            let merge_now = self.config.merge
-                && self.merge_headroom >= ForkEngine::MERGE_LOOKAHEAD_CAP
-                && task.merge_capable()
-                && done.is_none()
-                && !step_jobs.is_empty()
-                && snap.is_some()
-                && !self.exec.is_dead()
-                && self.exec.replay.is_empty();
-            if merge_now {
-                let primary_state = state.as_ref().expect("stepped state present");
-                self.try_merge(task, primary_state, step_jobs, &mut jobs);
-            } else {
-                jobs.append(&mut step_jobs);
+            for prefix in std::mem::take(&mut self.exec.forks) {
+                jobs.push(ForkJob {
+                    prefix,
+                    snapshot: snap.clone(),
+                });
             }
             if let Some(out) = done {
                 break out;
@@ -1102,239 +669,37 @@ impl ForkEngine {
             self.exec.replay.is_empty() || self.exec.is_dead(),
             "task finished with unconsumed replay decisions"
         );
+        // Debug builds re-validate the path condition after every path
+        // (node-local checks only; the full pass is ForkExec::lint_path)
+        // and re-solve it on a fresh solver.
         #[cfg(debug_assertions)]
-        self.exec.debug_check_path();
-        let mut results = Vec::with_capacity(1 + self.exec.arms.len());
-        results.push(PathResult {
+        crate::solve::debug_check_path(
+            &self.exec.ctx,
+            &self.exec.constraints,
+            &self.exec.path_symbols,
+            self.exec.status,
+        );
+        let result = PathResult {
             value,
             status: self.exec.status,
             decisions: self.exec.taken.clone(),
             num_constraints: self.exec.constraints.len(),
-        });
-        // Expand every merged arm into its own record by swapping the
-        // arm's ledger into the executor and re-deriving the value with
-        // history-independent extraction — byte-identical to the arm's
-        // unmerged run because the final state, the symbol list and the
-        // status are shared and the ledger is exactly what the unmerged
-        // run would have recorded.
-        let arms = std::mem::take(&mut self.exec.arms);
-        if !arms.is_empty() {
-            let final_state = state.as_ref().expect("finished state present");
-            for arm in arms {
-                let MergeArm {
-                    constraints,
-                    origins,
-                    taken,
-                } = arm;
-                self.exec.constraints = constraints;
-                self.exec.origins = origins;
-                self.exec.taken = taken;
-                match task.expand_arm(final_state, &mut self.exec) {
-                    Some(arm_value) => {
-                        #[cfg(debug_assertions)]
-                        self.exec.debug_check_path();
-                        results.push(PathResult {
-                            value: arm_value,
-                            status: self.exec.status,
-                            decisions: self.exec.taken.clone(),
-                            num_constraints: self.exec.constraints.len(),
-                        });
-                    }
-                    None => {
-                        // The task cannot rebuild this arm's value;
-                        // degrade to a whole-prefix replay.
-                        jobs.push(ForkJob::from_prefix(self.exec.taken.clone()));
-                    }
-                }
-            }
-        }
-        (results, jobs)
+        };
+        (result, jobs)
     }
 
-    /// Upper bound on the intra-step subtree a merge lookahead fully
-    /// expands. Decode fans out to a handful of siblings per step; a
-    /// run-away task must not turn the lookahead into the whole search.
-    const MERGE_LOOKAHEAD_CAP: usize = 64;
-
-    /// Attempts to merge this step's sibling jobs back into the running
-    /// path (and into each other). Runs each sibling one step ahead from
-    /// its snapshot; siblings whose post-step state is term-identical to
-    /// the primary's (or to each other's) and whose divergence passes the
-    /// [`crate::merge::proves_mergeable`] gate are absorbed as
-    /// [`MergeArm`] ledgers. Everything that does not merge is emitted as
-    /// a post-step snapshot job (no work is lost — the lookahead step is
-    /// the same step the job would have run first).
-    fn try_merge<T: ForkTask>(
-        &mut self,
-        task: &T,
-        primary_state: &T::State,
-        step_jobs: Vec<ForkJob<T::State>>,
-        jobs: &mut Vec<ForkJob<T::State>>,
-    ) {
-        struct Leaf<S> {
-            state: S,
-            symbols: Vec<TermId>,
-            arms: Vec<MergeArm>,
-        }
-        // A truncated run discards jobs beyond its budget, so looking
-        // ahead past the headroom is work nobody will reuse (see
-        // [`ForkEngine::set_merge_headroom`]).
-        let cap = ForkEngine::MERGE_LOOKAHEAD_CAP.min(self.merge_headroom);
-        if cap == 0 {
-            jobs.extend(step_jobs);
-            return;
-        }
-        let checkpoint = self.exec.save_path();
-        let mut queue: VecDeque<ForkJob<T::State>> = step_jobs.into();
-        let mut leaves: Vec<Leaf<T::State>> = Vec::new();
-        let mut expanded = 0usize;
-        while let Some(job) = queue.pop_front() {
-            if expanded >= cap {
-                jobs.push(job);
-                continue;
-            }
-            expanded += 1;
-            let ForkJob {
-                prefix,
-                snapshot,
-                arm_prefixes,
-            } = job;
-            let snap = match snapshot {
-                Some(snap) => snap,
-                None => {
-                    // No snapshot to look ahead from; pass through.
-                    jobs.push(ForkJob {
-                        prefix,
-                        snapshot: None,
-                        arm_prefixes,
-                    });
-                    continue;
-                }
-            };
-            self.exec.begin_path(prefix.clone(), Some(&*snap));
-            let mut sib_state = snap.state.clone();
-            let done = task.step(&mut sib_state, &mut self.exec);
-            let ok = matches!(done, StepResult::Continue)
-                && !self.exec.is_dead()
-                && self.exec.replay.is_empty();
-            if !ok {
-                // The sibling finished, died or abandoned inside the
-                // lookahead: revert. Its own run will redo the step (the
-                // solver answers are cached) and regenerate any forks.
-                self.exec.forks.clear();
-                jobs.push(ForkJob {
-                    prefix,
-                    snapshot: Some(snap),
-                    arm_prefixes,
-                });
-                continue;
-            }
-            // Nested forks join the lookahead, anchored to the same
-            // pre-step snapshot — the subtree is fully expanded, which is
-            // exactly the solver work the unmerged engine would do.
-            for group in std::mem::take(&mut self.exec.forks) {
-                let mut group = group.into_iter();
-                let nested = group.next().expect("fork event has a primary arm");
-                queue.push_back(ForkJob {
-                    prefix: nested,
-                    snapshot: Some(Arc::clone(&snap)),
-                    arm_prefixes: group.collect(),
-                });
-            }
-            let mut arms = vec![MergeArm {
-                constraints: self.exec.constraints.clone(),
-                origins: self.exec.origins.clone(),
-                taken: self.exec.taken.clone(),
-            }];
-            arms.extend(self.exec.arms.iter().cloned());
-            leaves.push(Leaf {
-                state: sib_state,
-                symbols: self.exec.path_symbols.clone(),
-                arms,
-            });
-        }
-        self.exec.restore_path(checkpoint);
-        // Absorb leaves into the running primary path where the gate
-        // allows; group the rest among themselves.
-        let outputs = task.merge_outputs(primary_state);
-        let mut groups: Vec<(Leaf<T::State>, Vec<MergeArm>)> = Vec::new();
-        for leaf in leaves {
-            if task.states_equal(primary_state, &leaf.state)
-                && self.exec.path_symbols == leaf.symbols
-                && crate::merge::proves_mergeable(
-                    &self.exec.ctx,
-                    &mut self.exec.projector,
-                    &self.exec.constraints,
-                    &leaf.arms[0].constraints,
-                    &outputs,
-                    crate::merge::FETCH_SLOT_PREFIX,
-                )
-                .is_some()
-            {
-                self.exec.arms.extend(leaf.arms);
-                continue;
-            }
-            let mut placed = false;
-            for (rep, extra) in &mut groups {
-                let rep_outputs = task.merge_outputs(&rep.state);
-                if task.states_equal(&rep.state, &leaf.state)
-                    && rep.symbols == leaf.symbols
-                    && crate::merge::proves_mergeable(
-                        &self.exec.ctx,
-                        &mut self.exec.projector,
-                        &rep.arms[0].constraints,
-                        &leaf.arms[0].constraints,
-                        &rep_outputs,
-                        crate::merge::FETCH_SLOT_PREFIX,
-                    )
-                    .is_some()
-                {
-                    extra.extend(leaf.arms.iter().cloned());
-                    placed = true;
-                    break;
-                }
-            }
-            if !placed {
-                groups.push((leaf, Vec::new()));
-            }
-        }
-        // Emit each group as one post-step snapshot job: prefix equals
-        // the snapshot's decision record, so the job resumes with an
-        // empty replay window and zero re-execution.
-        for (rep, extra) in groups {
-            let Leaf {
-                state,
-                symbols,
-                arms,
-            } = rep;
-            let mut arms = arms;
-            arms.extend(extra);
-            let primary = arms.remove(0);
-            let prefix = primary.taken.clone();
-            let arm_prefixes: Vec<Vec<bool>> = arms.iter().map(|arm| arm.taken.clone()).collect();
-            jobs.push(ForkJob {
-                prefix,
-                snapshot: Some(Arc::new(Snapshot {
-                    state,
-                    constraints: primary.constraints,
-                    origins: primary.origins,
-                    taken: primary.taken,
-                    path_symbols: symbols,
-                    arms,
-                })),
-                arm_prefixes,
-            });
-        }
-    }
-
-    /// Explores every feasible path through `task` (the counterpart of
-    /// [`Engine::explore`](crate::Engine::explore)).
+    /// Explores every feasible path through `task`.
+    ///
+    /// Each path runs until the task finishes; the engine keeps running
+    /// jobs until the frontier empties or [`EngineConfig::max_paths`] is
+    /// hit.
     pub fn explore<T: ForkTask>(&mut self, task: &T) -> ExploreOutcome<T::Out> {
         self.explore_until(task, |_| false)
     }
 
     /// Like [`ForkEngine::explore`], but stops as soon as `stop` returns
-    /// true for a just-completed path.
+    /// true for a just-completed path (e.g. "a mismatch was found") — the
+    /// error-injection experiments' mode of operation.
     ///
     /// The frontier bounds resident snapshots to
     /// [`EngineConfig::max_resident_snapshots`]; beyond that, new forks are
@@ -1348,7 +713,6 @@ impl ForkEngine {
         let mut paths = Vec::new();
         let mut complete = 0usize;
         let mut partial = 0usize;
-        let mut merged = 0usize;
 
         while let Some(job) = self.pop_frontier(&mut frontier) {
             if job.has_snapshot() {
@@ -1360,23 +724,13 @@ impl ForkEngine {
                     complete_paths: complete,
                     partial_paths: partial,
                     frontier_exhausted: true,
-                    merged_paths: merged,
                     paths_dropped: frontier.len() + 1,
                 };
             }
-            // Paths already recorded, jobs already queued and the popped
-            // job itself all consume budget slots; only what is left may
-            // be spent looking ahead for merges.
-            self.merge_headroom = self
-                .config
-                .max_paths
-                .saturating_sub(paths.len() + frontier.len() + 1);
-            let (results, forks) = self.run_job(job, task);
+            let (result, forks) = self.run_job(job, task);
             for fork in forks {
                 if fork.has_snapshot() && resident >= self.config.max_resident_snapshots {
-                    // A merged job cannot survive losing its snapshot as
-                    // one prefix; it re-splits into per-arm replays.
-                    frontier.extend(fork.split_on_spill());
+                    frontier.push(fork.spill());
                 } else {
                     if fork.has_snapshot() {
                         resident += 1;
@@ -1384,27 +738,18 @@ impl ForkEngine {
                     frontier.push(fork);
                 }
             }
-            merged += results.len().saturating_sub(1);
-            let mut stopped = false;
-            for result in results {
-                match result.status {
-                    PathStatus::Complete => complete += 1,
-                    _ => partial += 1,
-                }
-                paths.push(result);
-                if stop(paths.last().expect("just pushed")) {
-                    stopped = true;
-                    break;
-                }
+            match result.status {
+                PathStatus::Complete => complete += 1,
+                _ => partial += 1,
             }
-            if stopped {
+            paths.push(result);
+            if stop(paths.last().expect("just pushed")) {
                 return ExploreOutcome {
                     frontier_exhausted: !frontier.is_empty(),
                     paths_dropped: frontier.len(),
                     paths,
                     complete_paths: complete,
                     partial_paths: partial,
-                    merged_paths: merged,
                 };
             }
         }
@@ -1414,7 +759,6 @@ impl ForkEngine {
             complete_paths: complete,
             partial_paths: partial,
             frontier_exhausted: false,
-            merged_paths: merged,
             paths_dropped: 0,
         }
     }
@@ -1423,12 +767,11 @@ impl ForkEngine {
         if frontier.is_empty() {
             return None;
         }
-        // Mirrors Engine::pop_frontier exactly (same xorshift64* stream),
-        // so both engines visit the canonical path tree in the same order.
         let index = match self.config.strategy {
             SearchStrategy::Dfs => frontier.len() - 1,
             SearchStrategy::Bfs => 0,
             SearchStrategy::RandomPath => {
+                // xorshift64* — deterministic, no external dependency.
                 self.rng_state ^= self.rng_state << 13;
                 self.rng_state ^= self.rng_state >> 7;
                 self.rng_state ^= self.rng_state << 17;
@@ -1442,18 +785,17 @@ impl ForkEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Engine, SymExec};
 
     /// A task's value plus its path's model, extracted inside the task the
     /// way the session extracts a finding's witness.
     type Out = (u32, Option<String>);
 
-    fn model(exec: &mut impl PathProbe) -> Option<String> {
+    fn model(exec: &mut ForkExec) -> Option<String> {
         exec.stable_witness_vector(&[]).map(|v| v.to_string())
     }
 
-    /// Stepped twin of the re-execution tests' three-bit task: one
-    /// decision per step over distinct bits of one symbol.
+    /// One decision per step over distinct bits of one symbol: 2^bits
+    /// feasible paths.
     struct BitTask {
         bits: u32,
     }
@@ -1488,8 +830,9 @@ mod tests {
         }
     }
 
-    fn closure_bit_task(bits: u32) -> impl FnMut(&mut SymExec<'_>) -> Out {
-        move |exec| {
+    /// [`BitTask`] as one closure: every sibling replays from the root.
+    fn closure_bit_task(bits: u32) -> FnTask<impl Fn(&mut ForkExec) -> Out> {
+        FnTask(move |exec: &mut ForkExec| {
             let x = exec.fresh_word("x");
             let mut value = 0u32;
             for bit in 0..bits {
@@ -1501,7 +844,7 @@ mod tests {
                 }
             }
             (value, model(exec))
-        }
+        })
     }
 
     fn fingerprint(paths: &[PathResult<Out>]) -> Vec<String> {
@@ -1520,7 +863,7 @@ mod tests {
     }
 
     #[test]
-    fn fork_engine_matches_reexec_engine() {
+    fn strategies_cover_the_same_paths() {
         for strategy in [
             SearchStrategy::Dfs,
             SearchStrategy::Bfs,
@@ -1530,35 +873,146 @@ mod tests {
                 strategy,
                 ..EngineConfig::default()
             };
-            let mut reexec = Engine::new(config.clone());
-            let expected = reexec.explore(closure_bit_task(3));
-            let mut fork = ForkEngine::new(config);
-            let actual = fork.explore(&BitTask { bits: 3 });
+            let stepped = ForkEngine::new(config.clone()).explore(&BitTask { bits: 3 });
+            let mut values: Vec<u32> = stepped.paths.iter().map(|p| p.value.0).collect();
+            values.sort_unstable();
+            assert_eq!(values, (0..8).collect::<Vec<u32>>(), "{strategy:?}");
+            // The closure re-executed from the root visits the same
+            // canonical paths in the same order, with the same models.
+            let replayed = ForkEngine::new(config).explore(&closure_bit_task(3));
             assert_eq!(
-                fingerprint(&actual.paths),
-                fingerprint(&expected.paths),
-                "{strategy:?}: engines must visit identical canonical paths"
+                fingerprint(&replayed.paths),
+                fingerprint(&stepped.paths),
+                "{strategy:?}"
             );
-            assert_eq!(actual.complete_paths, expected.complete_paths);
-            assert_eq!(actual.partial_paths, expected.partial_paths);
-            assert_eq!(actual.frontier_exhausted, expected.frontier_exhausted);
+            assert_eq!(replayed.complete_paths, stepped.complete_paths);
+            assert_eq!(replayed.frontier_exhausted, stepped.frontier_exhausted);
+        }
+    }
+
+    /// A task exercising every path-level query across steps: an assume,
+    /// a decision, a `check_sat` probe, a committed constraint, another
+    /// decision, a probe that the assumption still holds, and stable
+    /// witness extraction. The value records the outcomes as flag bits.
+    struct ProbeTask;
+
+    const ODD: u32 = 1;
+    const COMMITTED: u32 = 2;
+    const BELOW_50: u32 = 4;
+    const ASSUME_LOST: u32 = 8;
+
+    #[derive(Debug, Clone)]
+    struct ProbeState {
+        x: TermId,
+        step: u32,
+        flags: u32,
+    }
+
+    impl ForkTask for ProbeTask {
+        type State = ProbeState;
+        type Out = Out;
+
+        fn start(&self, exec: &mut ForkExec) -> ProbeState {
+            let x = exec.fresh_word("x");
+            ProbeState {
+                x,
+                step: 0,
+                flags: 0,
+            }
+        }
+
+        fn step(&self, state: &mut ProbeState, exec: &mut ForkExec) -> StepResult<Out> {
+            let x = state.x;
+            if exec.is_dead() {
+                return StepResult::Done((state.flags, None));
+            }
+            match state.step {
+                0 => {
+                    let hundred = exec.const_word(100);
+                    let small = exec.ult(x, hundred);
+                    exec.assume(small);
+                    let low = exec.field(x, 0, 0);
+                    let odd = exec.eq_const(low, 1);
+                    if exec.decide(odd) {
+                        state.flags |= ODD;
+                    }
+                }
+                1 => {
+                    // Possible only on the odd arm; committing it there
+                    // forces the next decision.
+                    let is7 = exec.eq_const(x, 7);
+                    if exec.check_sat(is7) {
+                        exec.add_constraint(is7);
+                        state.flags |= COMMITTED;
+                    }
+                    let fifty = exec.const_word(50);
+                    let below = exec.ult(x, fifty);
+                    if exec.decide(below) {
+                        state.flags |= BELOW_50;
+                    }
+                }
+                _ => {
+                    // A replayed assumption must stay in the path condition.
+                    let hundred = exec.const_word(100);
+                    let small = exec.ult(x, hundred);
+                    let large = exec.not_b(small);
+                    if exec.check_sat(large) {
+                        state.flags |= ASSUME_LOST;
+                    }
+                    let witness = exec.stable_concrete_witness(x, &[]);
+                    let vector = model(exec);
+                    let extracted = format!("{witness:?} {vector:?}");
+                    return StepResult::Done((state.flags, Some(extracted)));
+                }
+            }
+            state.step += 1;
+            StepResult::Continue
         }
     }
 
     #[test]
     fn spilled_jobs_match_snapshotted_jobs() {
-        // Forcing every fork to spill (max_resident_snapshots = 0) must
-        // not change any path outcome — only the cost of resuming.
+        // Forcing every fork to spill (max_resident_snapshots = 0) is
+        // re-execution: each sibling replays its prefix from the root. It
+        // must not change any path outcome — only the cost of resuming.
         let snappy = EngineConfig::default();
         let spilly = EngineConfig {
             max_resident_snapshots: 0,
             ..EngineConfig::default()
         };
-        let mut with_snapshots = ForkEngine::new(snappy);
-        let baseline = with_snapshots.explore(&BitTask { bits: 4 });
-        let mut without = ForkEngine::new(spilly);
-        let spilled = without.explore(&BitTask { bits: 4 });
+        let baseline = ForkEngine::new(snappy.clone()).explore(&BitTask { bits: 4 });
+        let spilled = ForkEngine::new(spilly.clone()).explore(&BitTask { bits: 4 });
         assert_eq!(fingerprint(&baseline.paths), fingerprint(&spilled.paths));
+
+        let baseline = ForkEngine::new(snappy).explore(&ProbeTask);
+        let spilled = ForkEngine::new(spilly).explore(&ProbeTask);
+        assert_eq!(fingerprint(&baseline.paths), fingerprint(&spilled.paths));
+        // Odd arm: x = 7 committed, `x < 50` forced; even arm: forks.
+        assert_eq!(
+            baseline.paths.len(),
+            3,
+            "{:#?}",
+            fingerprint(&baseline.paths)
+        );
+        assert!(
+            baseline.paths.iter().all(|p| p.value.0 & ASSUME_LOST == 0),
+            "{:#?}",
+            fingerprint(&baseline.paths)
+        );
+        let committed: Vec<&Out> = baseline
+            .paths
+            .iter()
+            .map(|p| &p.value)
+            .filter(|v| v.0 & COMMITTED != 0)
+            .collect();
+        assert_eq!(committed.len(), 1);
+        assert!(
+            committed[0]
+                .1
+                .as_deref()
+                .is_some_and(|w| w.starts_with("Some(7)")),
+            "{committed:?}"
+        );
     }
 
     #[test]
@@ -1568,15 +1022,12 @@ mod tests {
         let prefix = vec![true, false];
         let task = BitTask { bits: 3 };
         let mut fresh = ForkEngine::new(EngineConfig::default());
-        let (mut baselines, base_forks) =
-            fresh.run_job(ForkJob::from_prefix(prefix.clone()), &task);
-        let baseline = baselines.pop().expect("one record");
+        let (baseline, base_forks) = fresh.run_job(ForkJob::from_prefix(prefix.clone()), &task);
 
         let mut warmed = ForkEngine::new(EngineConfig::default());
         warmed.run_job(ForkJob::root(), &task);
         warmed.run_job(ForkJob::from_prefix(vec![false]), &task);
-        let (mut repeats, repeat_forks) = warmed.run_job(ForkJob::from_prefix(prefix), &task);
-        let repeat = repeats.pop().expect("one record");
+        let (repeat, repeat_forks) = warmed.run_job(ForkJob::from_prefix(prefix), &task);
 
         assert!(baseline.value.1.is_some(), "feasible path has a model");
         assert_eq!(
@@ -1637,6 +1088,57 @@ mod tests {
     }
 
     #[test]
+    fn infeasible_branches_are_pruned() {
+        let mut engine = ForkEngine::new(EngineConfig::default());
+        let outcome = engine.explore(&FnTask(|exec: &mut ForkExec| {
+            let x = exec.fresh_word("x");
+            let five = exec.const_word(5);
+            let lt5 = exec.ult(x, five);
+            let first = exec.decide(lt5);
+            // If x < 5, then x < 100 is forced: no second fork.
+            let hundred = exec.const_word(100);
+            let lt100 = exec.ult(x, hundred);
+            let second = exec.decide(lt100);
+            (first, second)
+        }));
+        // Paths: (T,T), (F,T), (F,F) — (T,F) is infeasible and never forked.
+        assert_eq!(outcome.paths.len(), 3);
+        assert!(!outcome.paths.iter().any(|p| p.value == (true, false)));
+    }
+
+    #[test]
+    fn concrete_computations_do_not_fork() {
+        let mut engine = ForkEngine::new(EngineConfig::default());
+        let outcome = engine.explore(&FnTask(|exec: &mut ForkExec| {
+            let a = exec.const_word(6);
+            let b = exec.const_word(7);
+            let product = exec.mul(a, b);
+            let c42 = exec.const_word(42);
+            let eq = exec.eq_w(product, c42);
+            exec.decide(eq)
+        }));
+        assert_eq!(outcome.paths.len(), 1);
+        assert!(outcome.paths[0].value);
+        assert!(outcome.paths[0].decisions.is_empty());
+    }
+
+    #[test]
+    fn check_sat_does_not_commit() {
+        let mut engine = ForkEngine::new(EngineConfig::default());
+        let outcome = engine.explore(&FnTask(|exec: &mut ForkExec| {
+            let x = exec.fresh_word("x");
+            let seven = exec.const_word(7);
+            let is7 = exec.eq_w(x, seven);
+            let possible = exec.check_sat(is7);
+            let not7 = exec.not_b(is7);
+            let also_possible = exec.check_sat(not7);
+            (possible, also_possible)
+        }));
+        assert_eq!(outcome.paths.len(), 1);
+        assert_eq!(outcome.paths[0].value, (true, true));
+    }
+
+    #[test]
     fn decision_limit_counts_as_partial() {
         let config = EngineConfig {
             max_decisions_per_path: 2,
@@ -1660,161 +1162,6 @@ mod tests {
         let outcome = engine.explore(&BitTask { bits: 6 });
         assert_eq!(outcome.paths.len(), 3);
         assert!(outcome.frontier_exhausted);
-    }
-
-    const DECODE_SLOT: &str = "imem_00000000";
-
-    /// A decode-shaped task: step 0 forks on a fetch-slot bit without
-    /// touching the state (the fork-engine analogue of two BRANCH decode
-    /// siblings), step 1 forks on data (or splits the arms with a
-    /// one-sided assume), step 2 finishes.
-    struct DecodeTask {
-        split_assume: bool,
-    }
-
-    #[derive(Debug, Clone, PartialEq)]
-    struct DecodeState {
-        step: u32,
-        slot: Option<TermId>,
-        value: u32,
-    }
-
-    impl ForkTask for DecodeTask {
-        type State = DecodeState;
-        type Out = Out;
-
-        fn start(&self, _exec: &mut ForkExec) -> DecodeState {
-            DecodeState {
-                step: 0,
-                slot: None,
-                value: 0,
-            }
-        }
-
-        fn step(&self, state: &mut DecodeState, exec: &mut ForkExec) -> StepResult<Out> {
-            if exec.is_dead() {
-                return StepResult::Done((state.value, model(exec)));
-            }
-            match state.step {
-                0 => {
-                    // Decode-shaped fork: the decision bit is a fetch-slot
-                    // bit and the state is identical on both sides.
-                    let slot = exec.fresh_word(DECODE_SLOT);
-                    let field = exec.field(slot, 12, 12);
-                    let one = exec.const_word(1);
-                    let set = exec.eq_w(field, one);
-                    let _ = exec.decide(set);
-                    state.slot = Some(slot);
-                }
-                1 => {
-                    if self.split_assume {
-                        // Feasible on exactly one decode arm: a merged
-                        // path must abandon and re-split here.
-                        let slot = state.slot.expect("minted in step 0");
-                        let field = exec.field(slot, 12, 12);
-                        let one = exec.const_word(1);
-                        let set = exec.eq_w(field, one);
-                        exec.assume(set);
-                        state.value = 7;
-                    } else {
-                        let data = exec.fresh_word("data_0");
-                        let zero = exec.const_word(0);
-                        let is_zero = exec.eq_w(data, zero);
-                        state.value = if exec.decide(is_zero) { 1 } else { 2 };
-                    }
-                }
-                _ => return StepResult::Done((state.value, model(exec))),
-            }
-            state.step += 1;
-            StepResult::Continue
-        }
-
-        fn merge_capable(&self) -> bool {
-            true
-        }
-
-        fn states_equal(&self, a: &DecodeState, b: &DecodeState) -> bool {
-            a == b
-        }
-
-        fn expand_arm(&self, state: &DecodeState, exec: &mut ForkExec) -> Option<Out> {
-            // The executor carries the arm's own ledger here, so the arm's
-            // model comes from its own path condition.
-            Some((state.value, model(exec)))
-        }
-    }
-
-    /// Canonical (decision-sorted) fingerprint: merging changes the order
-    /// paths complete in, never their records.
-    fn sorted_fingerprint(paths: &[PathResult<Out>]) -> Vec<String> {
-        let mut paths = paths.to_vec();
-        paths.sort_by(|a, b| a.decisions.cmp(&b.decisions));
-        fingerprint(&paths)
-    }
-
-    #[test]
-    fn merging_preserves_path_records_byte_for_byte() {
-        let task = DecodeTask {
-            split_assume: false,
-        };
-        let mut off = ForkEngine::new(EngineConfig::default());
-        let baseline = off.explore(&task);
-        let mut on = ForkEngine::new(EngineConfig {
-            merge: true,
-            ..EngineConfig::default()
-        });
-        let merged = on.explore(&task);
-        assert_eq!(baseline.merged_paths, 0);
-        assert!(
-            merged.merged_paths > 0,
-            "decode siblings with identical states must merge"
-        );
-        assert_eq!(
-            sorted_fingerprint(&merged.paths),
-            sorted_fingerprint(&baseline.paths),
-        );
-        assert_eq!(merged.complete_paths, baseline.complete_paths);
-        assert_eq!(merged.partial_paths, baseline.partial_paths);
-    }
-
-    #[test]
-    fn non_uniform_feasibility_abandons_the_merge() {
-        let task = DecodeTask { split_assume: true };
-        let mut off = ForkEngine::new(EngineConfig::default());
-        let baseline = off.explore(&task);
-        let mut on = ForkEngine::new(EngineConfig {
-            merge: true,
-            ..EngineConfig::default()
-        });
-        let merged = on.explore(&task);
-        // The one-sided assume breaks lockstep before any record is
-        // produced; both arms re-run unmerged and match bit for bit.
-        assert_eq!(merged.merged_paths, 0);
-        assert_eq!(
-            sorted_fingerprint(&merged.paths),
-            sorted_fingerprint(&baseline.paths),
-        );
-    }
-
-    #[test]
-    fn spilled_merged_jobs_resplit_into_arm_replays() {
-        let task = DecodeTask {
-            split_assume: false,
-        };
-        let mut off = ForkEngine::new(EngineConfig::default());
-        let baseline = off.explore(&task);
-        // With no resident snapshots allowed, every merged sibling job is
-        // immediately split back into per-arm prefix replays.
-        let mut on = ForkEngine::new(EngineConfig {
-            merge: true,
-            max_resident_snapshots: 0,
-            ..EngineConfig::default()
-        });
-        let merged = on.explore(&task);
-        assert_eq!(
-            sorted_fingerprint(&merged.paths),
-            sorted_fingerprint(&baseline.paths),
-        );
     }
 
     #[test]

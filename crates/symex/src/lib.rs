@@ -7,13 +7,12 @@
 //!   constant folding and algebraic simplification,
 //! * [`blast::Blaster`] — Tseitin bit-blasting onto the `symcosim-sat`
 //!   CDCL solver,
-//! * [`Engine`] — path exploration by deterministic re-execution: every
-//!   branch on symbolic data forks the path, path constraints are checked
-//!   for feasibility incrementally, and a path can extract a concrete
+//! * [`ForkEngine`] — path exploration by KLEE-style copy-on-write
+//!   snapshot forking: every branch on symbolic data forks the path, path
+//!   constraints are checked for feasibility incrementally, a stepped
+//!   [`ForkTask`] is cloned at decision points instead of re-run (with a
+//!   spill-to-replay memory bound), and a path can extract a concrete
 //!   [`TestVector`] (KLEE's `.ktest` equivalent) from a fresh solver,
-//! * [`ForkEngine`] — the same exploration by KLEE-style copy-on-write
-//!   snapshot forking: a stepped [`ForkTask`] is cloned at decision points
-//!   instead of re-run, with a spill-to-replay memory bound,
 //! * [`Domain`] — the abstraction that lets the ISS and the RTL core be
 //!   written once and executed both concretely (`u32`) and symbolically.
 //!
@@ -37,15 +36,15 @@
 //! # Example: forking exploration
 //!
 //! ```
-//! use symcosim_symex::{Domain, Engine, EngineConfig, PathStatus};
+//! use symcosim_symex::{Domain, EngineConfig, FnTask, ForkEngine, ForkExec, PathStatus};
 //!
-//! let mut engine = Engine::new(EngineConfig::default());
-//! let outcome = engine.explore(|exec| {
+//! let mut engine = ForkEngine::new(EngineConfig::default());
+//! let outcome = engine.explore(&FnTask(|exec: &mut ForkExec| {
 //!     let x = exec.fresh_word("x");
 //!     let zero = exec.const_word(0);
 //!     let is_zero = exec.eq_w(x, zero);
 //!     if exec.decide(is_zero) { "zero" } else { "non-zero" }
-//! });
+//! }));
 //! assert_eq!(outcome.paths.len(), 2);
 //! assert!(outcome.paths.iter().all(|p| p.status == PathStatus::Complete));
 //! ```
@@ -64,29 +63,22 @@ mod engine;
 mod eval;
 mod fork;
 mod lanes;
-pub mod merge;
-mod probe;
 mod project;
 mod solve;
 mod term;
 mod testvec;
 pub mod wf;
 
-pub use absint::{demanded_bits, AbsInt, Fact, KnownBits, Preflight};
+pub use absint::{AbsInt, Fact, KnownBits, Preflight};
 pub use audit::{ProofAuditStats, ProofAuditor};
 pub use chain::{ChainSeed, SolverChainStats};
 pub use context::Context;
 pub use display::ContextStats;
 pub use domain::{ConcreteDomain, Domain};
-pub use engine::{
-    Engine, EngineConfig, ExploreOutcome, PathResult, PathStatus, PrefixOutcome, SearchStrategy,
-    SymExec,
-};
+pub use engine::{EngineConfig, ExploreOutcome, PathResult, PathStatus, SearchStrategy};
 pub use eval::{eval, eval_memo, Env};
-pub use fork::{EngineKind, ForkEngine, ForkExec, ForkJob, ForkTask, StepResult};
-pub use merge::{bits_disjoint, fetch_slot_bits, proves_mergeable, FETCH_SLOT_PREFIX};
-pub use probe::PathProbe;
-pub use project::{union_covers, ConstraintOrigin, Projector, SlotCoverage};
+pub use fork::{FnTask, ForkEngine, ForkExec, ForkJob, ForkTask, StepResult};
+pub use project::{ConstraintOrigin, Projector, SlotCoverage};
 pub use solve::{CheckResult, QueryCacheStats, SolverBackend};
 pub use symcosim_sat::{CoreReplayUnit, SolverStats};
 pub use term::{Node, TermId, Width};

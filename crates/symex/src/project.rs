@@ -68,59 +68,6 @@ pub struct SlotCoverage {
     pub instr_decisions: Vec<u32>,
 }
 
-/// Exact union of two per-path slot covers, for the state-merging gate
-/// (see [`crate::merge`]): the merged path accounts for every word either
-/// sibling accounted for, and the union is only trusted when it is
-/// provably exact.
-///
-/// Slots are matched by name; a slot one side never constrains is the
-/// whole universe there, so the union widens to the universe (still
-/// exact). Returns `None` as soon as any participating cover is inexact
-/// — the merged coverage would no longer be provably the union of the
-/// siblings' cubes, and the caller must fall back to unmerged forking.
-#[must_use]
-pub fn union_covers(a: &[SlotCoverage], b: &[SlotCoverage]) -> Option<Vec<SlotCoverage>> {
-    if a.iter().chain(b.iter()).any(|slot| !slot.exact) {
-        return None;
-    }
-    let mut names: Vec<&str> = a
-        .iter()
-        .chain(b.iter())
-        .map(|slot| slot.slot.as_str())
-        .collect();
-    names.sort_unstable();
-    names.dedup();
-    let mut out = Vec::new();
-    for name in names {
-        fn find<'c>(side: &'c [SlotCoverage], name: &str) -> Option<&'c SlotCoverage> {
-            side.iter().find(|slot| slot.slot == name)
-        }
-        let mut set = match (find(a, name), find(b, name)) {
-            (Some(sa), Some(sb)) => {
-                let mut set = PatternSet::empty();
-                for cube in &sa.cubes {
-                    set.insert(cube);
-                }
-                let mut other = PatternSet::empty();
-                for cube in &sb.cubes {
-                    other.insert(cube);
-                }
-                set.union_with(&other);
-                set
-            }
-            _ => PatternSet::universe(),
-        };
-        set.sort_cubes();
-        out.push(SlotCoverage {
-            slot: name.to_string(),
-            cubes: set.cubes().to_vec(),
-            exact: true,
-            instr_decisions: Vec::new(),
-        });
-    }
-    Some(out)
-}
-
 /// Maximum popcount of a leaf's slot-bit support before enumeration is
 /// abandoned and the leaf is widened. `2^12` evaluations covers the widest
 /// decode field the ISA uses (the 12-bit CSR address).

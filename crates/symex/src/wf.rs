@@ -15,7 +15,7 @@
 //!   reads never bounded by any constraint). Used by `symcosim-lint` and by
 //!   the `--lint` session hook.
 //! * [`debug_validate_path`] — a shallow O(#constraints) subset cheap
-//!   enough to run inside `Engine::run_prefix` under `debug_assertions` on
+//!   enough to run inside `ForkEngine::run_job` under `debug_assertions` on
 //!   every explored path.
 
 use crate::context::Context;

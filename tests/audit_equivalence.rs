@@ -1,19 +1,16 @@
 //! Proof auditing is observational: toggling [`SessionConfig::audit`]
 //! re-checks every certificate-bearing solver answer through the
-//! independent checker but never changes what is answered. Every
-//! execution mode — re-execution, fork, and fork on worker threads —
-//! produces a byte-identical `symcosim-report/1` document and coverage
-//! certificate with auditing on or off; the audit's own evidence lives
+//! independent checker but never changes what is answered. Sequential
+//! and two-worker runs produce a byte-identical `symcosim-report/1`
+//! document and coverage certificate with auditing on or off; the
+//! audit's own evidence lives
 //! outside those documents (in [`VerifyReport::proof_audit`] and the
 //! separate `symcosim-audit/1` artifact).
 
-use symcosim::core::{
-    Certificate, EngineKind, InstrConstraint, SessionConfig, VerifyReport, VerifySession,
-};
+use symcosim::core::{Certificate, InstrConstraint, SessionConfig, VerifyReport, VerifySession};
 use symcosim::isa::opcodes;
 
-fn run(mut config: SessionConfig, engine: EngineKind, jobs: usize) -> VerifyReport {
-    config.engine = engine;
+fn run(config: SessionConfig, jobs: usize) -> VerifyReport {
     let session = VerifySession::new(config).expect("valid config");
     if jobs <= 1 {
         session.run()
@@ -34,7 +31,7 @@ fn audit_toggle_is_invisible_across_engines() {
     let mut off = config;
     off.audit = false;
 
-    let baseline = run(on.clone(), EngineKind::Fork, 1);
+    let baseline = run(on.clone(), 1);
     assert!(
         baseline.proof_audit.steps > 0,
         "audited run must apply proof steps"
@@ -49,12 +46,8 @@ fn audit_toggle_is_invisible_across_engines() {
         Certificate::certify(baseline.coverage.as_ref().expect("coverage")).to_json();
 
     for (label, config) in [("audit on", on), ("audit off", off)] {
-        for (mode, engine, jobs) in [
-            ("reexec", EngineKind::Reexec, 1),
-            ("fork", EngineKind::Fork, 1),
-            ("fork x2", EngineKind::Fork, 2),
-        ] {
-            let report = run(config.clone(), engine, jobs);
+        for (mode, jobs) in [("sequential", 1), ("x2", 2)] {
+            let report = run(config.clone(), jobs);
             assert_eq!(
                 report.to_json(),
                 expected_report,

@@ -1,19 +1,15 @@
 //! The solver chain is a pure accelerator: toggling
 //! [`SessionConfig::solver_chain`] changes how feasibility queries are
 //! answered (independence slicing, counterexample-core subsumption,
-//! cached-model evaluation) but never what is answered. Every execution
-//! mode — re-execution, fork, and fork on worker threads — produces a
-//! bit-identical `symcosim-report/1` document and coverage certificate
-//! with the chain on or off, while the chain-on run issues strictly
-//! fewer SAT `solve()` calls.
+//! cached-model evaluation) but never what is answered. Sequential and
+//! two-worker runs produce a bit-identical `symcosim-report/1` document
+//! and coverage certificate with the chain on or off, while the chain-on
+//! run issues strictly fewer SAT `solve()` calls.
 
-use symcosim::core::{
-    Certificate, EngineKind, InstrConstraint, SessionConfig, VerifyReport, VerifySession,
-};
+use symcosim::core::{Certificate, InstrConstraint, SessionConfig, VerifyReport, VerifySession};
 use symcosim::isa::opcodes;
 
-fn run(mut config: SessionConfig, engine: EngineKind, jobs: usize) -> VerifyReport {
-    config.engine = engine;
+fn run(config: SessionConfig, jobs: usize) -> VerifyReport {
     let session = VerifySession::new(config).expect("valid config");
     if jobs <= 1 {
         session.run()
@@ -34,18 +30,14 @@ fn chain_toggle_is_invisible_across_engines() {
     let mut off = config;
     off.solver_chain = false;
 
-    let baseline = run(on.clone(), EngineKind::Fork, 1);
+    let baseline = run(on.clone(), 1);
     let expected_report = baseline.to_json();
     let expected_cert =
         Certificate::certify(baseline.coverage.as_ref().expect("coverage")).to_json();
 
     for (label, config) in [("chain on", on), ("chain off", off)] {
-        for (mode, engine, jobs) in [
-            ("reexec", EngineKind::Reexec, 1),
-            ("fork", EngineKind::Fork, 1),
-            ("fork x2", EngineKind::Fork, 2),
-        ] {
-            let report = run(config.clone(), engine, jobs);
+        for (mode, jobs) in [("sequential", 1), ("x2", 2)] {
+            let report = run(config.clone(), jobs);
             assert_eq!(
                 report.to_json(),
                 expected_report,
@@ -78,8 +70,8 @@ fn chain_saves_solves_without_changing_findings() {
     let mut off = config;
     off.solver_chain = false;
 
-    let with_chain = run(on, EngineKind::Fork, 1);
-    let without = run(off, EngineKind::Fork, 1);
+    let with_chain = run(on, 1);
+    let without = run(off, 1);
 
     assert!(!with_chain.findings.is_empty(), "STORE must mismatch");
     assert_eq!(with_chain.to_json(), without.to_json());

@@ -20,9 +20,7 @@
 //! decoder fix) with:
 //!     SYMCOSIM_REGEN_GOLDENS=1 cargo test --test core_goldens
 
-use symcosim::core::{
-    Certificate, EngineKind, InstrConstraint, SessionConfig, VerifyReport, VerifySession,
-};
+use symcosim::core::{Certificate, InstrConstraint, SessionConfig, VerifyReport, VerifySession};
 use symcosim::isa::opcodes;
 use symcosim::microrv32::InjectedError;
 
@@ -39,7 +37,6 @@ fn audited_branch_config() -> SessionConfig {
     config.constraint = InstrConstraint::OnlyOpcode(opcodes::BRANCH);
     config.collect_coverage = true;
     config.audit = true;
-    config.engine = EngineKind::Fork;
     config
 }
 
@@ -107,8 +104,8 @@ fn audited_branch_sweep_matches_frozen_goldens() {
 /// The goldens pin the *unaudited* and *preflight-less* runs too:
 /// auditing and the abstract-interpretation preflight are both
 /// observational, so the same bytes must come back with either toggled
-/// off, across engines and worker counts — the chain_equivalence-style
-/// leg of the gate.
+/// off, sequentially and across worker counts — the
+/// chain_equivalence-style leg of the gate.
 #[test]
 fn golden_bytes_are_audit_and_engine_independent() {
     let expected_report =
@@ -116,22 +113,15 @@ fn golden_bytes_are_audit_and_engine_independent() {
     let expected_cert =
         std::fs::read_to_string(golden_path(CERT_GOLDEN)).expect("cert golden present");
 
-    for (label, audit, engine, jobs, preflight) in [
-        ("plain reexec", false, EngineKind::Reexec, 1, true),
-        ("plain fork x2", false, EngineKind::Fork, 2, true),
-        ("audited fork x2", true, EngineKind::Fork, 2, true),
-        ("no-preflight reexec", false, EngineKind::Reexec, 1, false),
-        (
-            "audited no-preflight fork x2",
-            true,
-            EngineKind::Fork,
-            2,
-            false,
-        ),
+    for (label, audit, jobs, preflight) in [
+        ("plain", false, 1, true),
+        ("plain x2", false, 2, true),
+        ("audited x2", true, 2, true),
+        ("no-preflight", false, 1, false),
+        ("audited no-preflight x2", true, 2, false),
     ] {
         let mut config = audited_branch_config();
         config.audit = audit;
-        config.engine = engine;
         config.preflight = preflight;
         let session = VerifySession::new(config).expect("valid config");
         let report = if jobs <= 1 {

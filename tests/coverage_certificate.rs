@@ -1,54 +1,38 @@
-//! The coverage certifier is engine- and schedule-independent: for a
-//! frontier-drained run, the re-execution engine, the fork engine, and
-//! the fork engine on two workers produce **bit-identical**
+//! The coverage certifier is schedule-independent: for a frontier-drained
+//! run, the sequential engine and two workers produce **bit-identical**
 //! `symcosim-cert/1` documents — the certificate depends only on the
 //! canonical path set, never on how it was explored. And the certificate
 //! is falsifiable: dropping a path from a report makes certification
 //! fail with a concrete uncovered instruction word.
 
 use symcosim::core::{
-    Certificate, CoverageData, EngineKind, InstrConstraint, SessionConfig, Verdict, VerifyReport,
-    VerifySession,
+    Certificate, CoverageData, InstrConstraint, SessionConfig, Verdict, VerifyReport, VerifySession,
 };
 use symcosim::isa::opcodes;
 use symcosim::microrv32::InjectedError;
 
-/// Runs `config` under the re-execution engine, the fork engine, and the
-/// fork engine on two workers; asserts all three emit the same
-/// certificate document and returns the re-execution report plus that
+/// Runs `config` sequentially and on two workers; asserts both emit the
+/// same certificate document and returns the sequential report plus that
 /// document.
 fn certificates_agree(config: SessionConfig) -> (VerifyReport, String) {
     let mut config = config;
     config.collect_coverage = true;
 
-    let mut reexec_config = config.clone();
-    reexec_config.engine = EngineKind::Reexec;
-    let reexec = VerifySession::new(reexec_config)
+    let sequential = VerifySession::new(config.clone())
         .expect("valid config")
         .run();
-    let expected = certificate_of(&reexec);
+    let expected = certificate_of(&sequential);
 
-    let mut fork_config = config.clone();
-    fork_config.engine = EngineKind::Fork;
-    let fork = VerifySession::new(fork_config.clone())
-        .expect("valid config")
-        .run();
-    assert_eq!(
-        certificate_of(&fork),
-        expected,
-        "fork run() certificate diverged from the re-execution engine's"
-    );
-
-    let fork_parallel = VerifySession::new(fork_config)
+    let parallel = VerifySession::new(config)
         .expect("valid config")
         .run_parallel(2);
     assert_eq!(
-        certificate_of(&fork_parallel),
+        certificate_of(&parallel),
         expected,
-        "fork run_parallel(2) certificate diverged from the re-execution engine's"
+        "run_parallel(2) certificate diverged from the sequential run's"
     );
 
-    (reexec, expected)
+    (sequential, expected)
 }
 
 fn certificate_of(report: &VerifyReport) -> String {

@@ -2,14 +2,12 @@
 //! did not end infeasible (plus every finding's witness), without
 //! extracting a model per record: a feasible path's condition is
 //! satisfiable by construction. The count must equal the number of
-//! non-infeasible records on every engine, merge mode and worker count,
-//! including runs whose records end infeasible or at the decision limit.
+//! non-infeasible records at every worker count, including runs whose
+//! records end infeasible or at the decision limit.
 //! Debug builds re-solve each such record on a fresh solver, so these runs
 //! also check that every counted record really has a model.
 
-use symcosim::core::{
-    BoundCause, EngineKind, InstrConstraint, SessionConfig, VerifyReport, VerifySession,
-};
+use symcosim::core::{BoundCause, InstrConstraint, SessionConfig, VerifyReport, VerifySession};
 use symcosim::isa::{opcodes, Pattern};
 
 /// The BRANCH space at instruction limit 2, with the first instruction
@@ -32,31 +30,24 @@ fn feasible_records(report: &VerifyReport) -> usize {
     coverage.paths.iter().filter(|p| !p.excluded()).count()
 }
 
-/// Runs `config` on both engines, merge on and off, sequentially and on
-/// two workers; checks the count on each and returns the reports.
+/// Runs `config` sequentially and on two workers; checks the count on
+/// each and returns the reports.
 fn count_matches_everywhere(config: &SessionConfig) -> Vec<VerifyReport> {
     let mut reports = Vec::new();
-    for engine in [EngineKind::Fork, EngineKind::Reexec] {
-        for merge in [true, false] {
-            for jobs in [1, 2] {
-                let mut config = config.clone();
-                config.engine = engine;
-                config.merge = merge;
-                let session = VerifySession::new(config).expect("valid config");
-                let report = if jobs == 1 {
-                    session.run()
-                } else {
-                    session.run_parallel(jobs)
-                };
-                assert!(report.findings.is_empty(), "corrected models agree");
-                assert_eq!(
-                    report.test_vectors,
-                    feasible_records(&report),
-                    "{engine} merge={merge} jobs={jobs}"
-                );
-                reports.push(report);
-            }
-        }
+    for jobs in [1, 2] {
+        let session = VerifySession::new(config.clone()).expect("valid config");
+        let report = if jobs == 1 {
+            session.run()
+        } else {
+            session.run_parallel(jobs)
+        };
+        assert!(report.findings.is_empty(), "corrected models agree");
+        assert_eq!(
+            report.test_vectors,
+            feasible_records(&report),
+            "jobs={jobs}"
+        );
+        reports.push(report);
     }
     reports
 }
@@ -78,10 +69,6 @@ fn decision_limited_and_merged_records_each_count_a_vector() {
     // funct3 = 000: the first instruction is a BEQ.
     let beq = Pattern::new(0x7000, 0);
     let reports = count_matches_everywhere(&branch_config(beq));
-    assert!(
-        reports.iter().any(|r| r.merged_paths > 0),
-        "merged arms must be among the counted records"
-    );
     assert!(reports
         .iter()
         .all(|r| r.test_vectors == r.total_paths() && !r.truncated));
