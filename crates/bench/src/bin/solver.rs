@@ -1,21 +1,22 @@
 //! Solver-chain benchmark: feasibility solving with the KLEE-style chain
 //! on versus off, with incremental solving on versus off, and with the
-//! abstract-interpretation preflight on versus off.
+//! path engine's forced-branch check (the absint preflight) on versus
+//! off.
 //!
 //! Runs the same frontier-drained explorations — corrected models, fork
 //! engine, generation restricted to the OP and then the BRANCH major
-//! opcode at instruction limit 2 — four times each: through the solver
-//! chain (absint preflight, independence slicing, counterexample-core
-//! subsumption, cached model evaluation) with incremental solving
-//! (`chain_on`), through the chain with incremental solving disabled
-//! (`incremental_off`), through the chain with the preflight disabled
-//! (`preflight_off`), and solving every query set directly
-//! (`chain_off`). None of the chain, incrementality or the preflight
+//! opcode at instruction limit 2 — four times each: with the forced
+//! check and the solver chain (independence slicing, counterexample-core
+//! subsumption, cached model evaluation) and incremental solving
+//! (`chain_on`), with incremental solving disabled (`incremental_off`),
+//! with the forced check disabled (`preflight_off`), and solving every
+//! query set directly with neither the chain nor the check
+//! (`chain_off`). None of the chain, incrementality or the check
 //! changes an answer, so all four reports of each sweep are asserted
 //! identical; the interesting numbers are the SAT `solve()` call count,
 //! the assumption-prefix reuse rate, the preflight kill fraction (share
-//! of chain queries the lattice answers before any cache or solver
-//! work), and the wall time.
+//! of chain queries the engine answered from the path's forced
+//! environment, before any query key is built), and the wall time.
 //!
 //! Emits `BENCH_solver.json` (a `symcosim-bench/1` document) into the
 //! working directory and prints the same numbers to stdout. The
@@ -115,7 +116,7 @@ fn sweep(name: &'static str, opcode: u32, max_paths: usize) -> Sweep {
     assert_eq!(
         chain_on.report.to_json(),
         preflight_off.report.to_json(),
-        "the absint preflight changed the report on the {name} sweep"
+        "the forced-branch check changed the report on the {name} sweep"
     );
 
     let off_solves = chain_off.report.solver_stats.solves;
@@ -151,7 +152,7 @@ fn sweep(name: &'static str, opcode: u32, max_paths: usize) -> Sweep {
     );
     println!(
         "         preflight off: {:>7} ms   preflight on: {:>7} ms   \
-         ({preflight_kill_pct:.1}% of chain queries killed statically)",
+         ({preflight_kill_pct:.1}% of chain queries answered from the path)",
         preflight_off.wall_ms, chain_on.wall_ms,
     );
     println!("         chain: {}", chain_on.report.chain_stats);

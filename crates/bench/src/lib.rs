@@ -10,13 +10,16 @@
 //!   (paths, partial paths, generated test vectors),
 //! * `ablation` — the sliced-symbolic-registers ablation behind the
 //!   "a non-optimised symbolic execution requires more than 30 days"
-//!   claim.
+//!   claim,
+//! * `solver` — the solver chain, incremental solving and the forced
+//!   branch check, each on against off (`BENCH_solver.json`).
 //!
 //! Micro-benchmarks live in `benches/` (std-only harnesses built on
 //! `symcosim-testkit`) and cover the engine and co-simulation building
-//! blocks plus the fuzzing comparison. Every binary accepts `--jobs N`
-//! for parallel exploration and `--progress-json` for structured
-//! progress events.
+//! blocks plus the fuzzing comparison. `table1`, `table2` and `longrun`
+//! accept `--jobs N` for parallel exploration and `--progress-json` for
+//! structured progress events ([`RunOpts`]); `ablation` and `solver` run
+//! sequentially and ignore both flags.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

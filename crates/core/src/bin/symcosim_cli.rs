@@ -1,8 +1,8 @@
 //! The `symcosim` command-line driver.
 //!
 //! ```text
-//! symcosim-cli verify [--full] [--limit N] [--paths N] [--window N]
-//!                     [--audit] [--audit-json PATH]
+//! symcosim-cli verify [--full | --rv32i-only] [--limit N] [--paths N]
+//!                     [--window N] [--audit] [--audit-json PATH]
 //! symcosim-cli inject <E0..E9> [--limit N] [--fuzz | --hybrid]
 //! symcosim-cli fuzz [--runs N] [--coverage] [--inject Ek]
 //! symcosim asm  (assembles stdin to hex words)
@@ -23,8 +23,8 @@ const USAGE: &str = "\
 symcosim — symbolic co-simulation for RISC-V processor verification
 
 USAGE:
-    symcosim-cli verify [--full] [--limit N] [--paths N] [--window N]
-                        [--jobs N] [--seed N] [--lint]
+    symcosim-cli verify [--full | --rv32i-only] [--limit N] [--paths N]
+                        [--window N] [--jobs N] [--seed N] [--lint]
                         [--opcode HEX] [--certify] [--slices N]
                         [--report-json PATH] [--no-solver-chain]
                         [--no-incremental] [--no-preflight]
@@ -54,9 +54,12 @@ USAGE:
         --no-incremental makes every SAT query restart from an empty
         trail instead of reusing the established assumption prefix —
         again identical, only slower; for benchmarking.
-        --no-preflight disables the chain's abstract-interpretation
-        preflight, so statically-forced queries reach the caches and
-        solver again — identical report, only slower; for benchmarking.
+        --no-preflight stops the path engine from deciding branches its
+        path condition already forces (the abstract-interpretation check
+        that runs before any query is built), so every answer comes from
+        the solver chain and the SAT core — identical report, only
+        slower; for benchmarking and for audit artifacts that keep every
+        UNSAT answer.
         --audit turns on proof-carrying solving: the SAT solver logs
         clausal (RUP) proofs and an independent checker certifies every
         answer — models by evaluation, UNSAT cores by conflict-cone
@@ -76,7 +79,52 @@ USAGE:
 
     symcosim-cli asm
         Assemble RV32I+Zicsr text from stdin, print one hex word per line.
+
+    Any other argument is an error (exit code 2).
 ";
+
+/// `verify`'s flags that take no value.
+const VERIFY_SWITCHES: &[&str] = &[
+    "--full",
+    "--rv32i-only",
+    "--lint",
+    "--certify",
+    "--no-solver-chain",
+    "--no-incremental",
+    "--no-preflight",
+    "--audit",
+];
+
+/// `verify`'s flags that take a value.
+const VERIFY_VALUED: &[&str] = &[
+    "--limit",
+    "--paths",
+    "--window",
+    "--jobs",
+    "--seed",
+    "--opcode",
+    "--slices",
+    "--report-json",
+    "--audit-json",
+];
+
+/// `inject`'s flags that take no value (after the error id).
+const INJECT_SWITCHES: &[&str] = &[
+    "--fuzz",
+    "--hybrid",
+    "--no-solver-chain",
+    "--no-incremental",
+    "--no-preflight",
+];
+
+/// `inject`'s flags that take a value.
+const INJECT_VALUED: &[&str] = &["--limit", "--jobs", "--seed"];
+
+/// `fuzz`'s flags that take no value.
+const FUZZ_SWITCHES: &[&str] = &["--coverage"];
+
+/// `fuzz`'s flags that take a value.
+const FUZZ_VALUED: &[&str] = &["--runs", "--seed", "--inject"];
 
 /// `print!` that hands a failed write back to the caller instead of
 /// panicking, so a reader closing the pipe early ends the run through
@@ -119,14 +167,49 @@ fn is_broken_pipe(error: &(dyn Error + 'static)) -> bool {
 
 fn run(args: &[String]) -> Result<(), Box<dyn Error>> {
     match args.first().map(String::as_str) {
-        Some("verify") => cmd_verify(&args[1..])?,
-        Some("inject") => cmd_inject(&args[1..])?,
-        Some("fuzz") => cmd_fuzz(&args[1..])?,
-        Some("asm") => cmd_asm()?,
+        Some("verify") => {
+            check_args("verify", &args[1..], VERIFY_SWITCHES, VERIFY_VALUED)?;
+            cmd_verify(&args[1..])?;
+        }
+        Some("inject") => {
+            // The error id comes first; `cmd_inject` reports a missing one.
+            let flags = args.get(2..).unwrap_or_default();
+            check_args("inject", flags, INJECT_SWITCHES, INJECT_VALUED)?;
+            cmd_inject(&args[1..])?;
+        }
+        Some("fuzz") => {
+            check_args("fuzz", &args[1..], FUZZ_SWITCHES, FUZZ_VALUED)?;
+            cmd_fuzz(&args[1..])?;
+        }
+        Some("asm") => {
+            check_args("asm", &args[1..], &[], &[])?;
+            cmd_asm()?;
+        }
         Some("--help" | "-h" | "help") | None => outln!("{USAGE}")?,
         Some(other) => return Err(format!("unknown subcommand {other:?}").into()),
     }
     std::io::stdout().flush()?;
+    Ok(())
+}
+
+/// Rejects every argument that is neither one of `switches` nor one of
+/// `valued` with the value after it, so a typo or a removed flag stops
+/// the run instead of running the default configuration.
+fn check_args(
+    command: &str,
+    args: &[String],
+    switches: &[&str],
+    valued: &[&str],
+) -> Result<(), Box<dyn Error>> {
+    let mut rest = args.iter().map(String::as_str);
+    while let Some(arg) = rest.next() {
+        if valued.contains(&arg) {
+            // Skip the value; `flag_value` reports a missing one.
+            rest.next();
+        } else if !switches.contains(&arg) {
+            return Err(format!("unknown argument {arg:?} for `{command}`").into());
+        }
+    }
     Ok(())
 }
 

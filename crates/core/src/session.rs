@@ -120,11 +120,12 @@ pub struct SessionConfig {
     /// Answers, reports and certificates are byte-identical either way —
     /// the CLI's `--no-incremental` flag disables it for benchmarking.
     pub incremental: bool,
-    /// Abstract-interpretation preflight in the solver chain: statically
-    /// answer feasibility queries whose path-condition conjunction is
-    /// forced, before any slicing or solver work. Answers, reports and
-    /// certificates are byte-identical either way — the CLI's
-    /// `--no-preflight` flag disables it for benchmarking. Ignored when
+    /// The path engine's forced-branch check: decide a branch condition
+    /// the path condition's own conjuncts already force, by abstract
+    /// interpretation, before any feasibility query is built. Answers,
+    /// reports and certificates are byte-identical either way — the
+    /// CLI's `--no-preflight` flag disables it, keeping every answer on
+    /// the solver chain and the SAT core. Off whenever
     /// [`SessionConfig::solver_chain`] is off.
     pub preflight: bool,
 }

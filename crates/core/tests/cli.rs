@@ -153,3 +153,57 @@ fn verify_slices_requires_certify() {
     let text = String::from_utf8_lossy(&output.stderr);
     assert!(text.contains("--certify"), "{text}");
 }
+
+/// Runs the CLI with `args` and returns (exit code, stdout, stderr).
+fn cli(args: &[&str]) -> (Option<i32>, String, String) {
+    let output = Command::new(BIN).args(args).output().expect("binary runs");
+    (
+        output.status.code(),
+        String::from_utf8_lossy(&output.stdout).into_owned(),
+        String::from_utf8_lossy(&output.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn unknown_arguments_are_rejected_before_any_run() {
+    for (args, flag) in [
+        (
+            &["verify", "--rv32i-only", "--opcode", "0x63", "--certfy"][..],
+            "--certfy",
+        ),
+        (&["verify", "--no-merge"][..], "--no-merge"),
+        (&["verify", "--engine", "reexec"][..], "--engine"),
+        (&["inject", "E5", "--bogus-flag"][..], "--bogus-flag"),
+        (&["fuzz", "--runs", "1", "--covrage"][..], "--covrage"),
+        (&["asm", "prog.s"][..], "prog.s"),
+    ] {
+        let (code, stdout, stderr) = cli(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown argument \"{flag}\"")),
+            "{args:?}: {stderr}"
+        );
+        assert!(stdout.is_empty(), "{args:?} ran anyway: {stdout}");
+    }
+}
+
+#[test]
+fn a_flag_value_is_not_mistaken_for_a_flag() {
+    // `--full` is the documented no-op; values after valued flags are
+    // skipped, whatever they look like.
+    let (code, stdout, stderr) = cli(&[
+        "verify",
+        "--full",
+        "--rv32i-only",
+        "--opcode",
+        "0x37",
+        "--limit",
+        "1",
+        "--seed",
+        "3",
+    ]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stdout.contains("paths"), "{stdout}");
+    let (code, _, stderr) = cli(&["fuzz", "--runs", "2", "--seed", "5", "--inject", "E5"]);
+    assert_eq!(code, Some(0), "{stderr}");
+}

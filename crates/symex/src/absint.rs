@@ -22,10 +22,10 @@
 //! stale. A generation watermark invalidates the memo defensively if the
 //! analysis is pointed at a different (smaller) context.
 //!
-//! [`AbsInt::preflight`] is the solver-chain client: it derives a *forced
-//! environment* from equality-with-constant conditions, re-evaluates every
-//! condition under it, and statically answers condition sets whose
-//! conjunction is forced — without any solver state.
+//! `PathFacts` is the path engine's client: it absorbs a growing path
+//! condition into a *forced environment* one conjunct at a time, and
+//! answers a new branch condition the path already decides from that
+//! condition's cone alone — without any solver state.
 
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -185,15 +185,6 @@ impl Fact {
     }
 }
 
-/// A preflight verdict over a condition set (see [`AbsInt::preflight`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Preflight {
-    /// The conjunction is statically true under every environment.
-    Sat,
-    /// The conjunction is statically unsatisfiable.
-    Unsat,
-}
-
 /// The analysis: a dense per-term fact memo over one hash-consed arena.
 #[derive(Debug, Default)]
 pub struct AbsInt {
@@ -228,9 +219,12 @@ impl AbsInt {
         self.fact(ctx, term).as_const().map(|v| v & 1 == 1)
     }
 
-    fn sync(&mut self, ctx: &Context) {
+    /// Sizes the memo to `ctx`'s arena; `true` when it had to drop every
+    /// fact because `ctx` is a different context.
+    fn sync(&mut self, ctx: &Context) -> bool {
         let nodes = ctx.num_nodes();
-        if nodes < self.watermark {
+        let stale = nodes < self.watermark;
+        if stale {
             // A smaller arena cannot be the one the memo was built
             // against: drop every fact.
             self.facts.clear();
@@ -239,6 +233,7 @@ impl AbsInt {
         if self.facts.len() < nodes {
             self.facts.resize(nodes, None);
         }
+        stale
     }
 
     fn fact_rec(&mut self, ctx: &Context, term: TermId) -> Fact {
@@ -707,79 +702,6 @@ impl AbsInt {
         };
         fact.refine(w)
     }
-
-    /// Statically answers a constant-free condition set when the
-    /// conjunction is forced, without any solver state.
-    ///
-    /// Two sound rules:
-    ///
-    /// * **Unsat** — conditions of the shape `t == const` (or a bare
-    ///   width-1 symbol / its negation) force exact values; conflicting
-    ///   forcings, or any condition abstractly false *under the forced
-    ///   environment*, refute the conjunction (the forced equalities are
-    ///   themselves conjuncts, so assuming them is free).
-    /// * **Sat** — every condition abstractly true with *no* forcing
-    ///   means the conjunction is valid, hence satisfiable.
-    ///
-    /// `None` means the abstraction cannot decide; the caller falls
-    /// through to its cache levels and the solver, unchanged.
-    pub fn preflight(&mut self, ctx: &Context, conditions: &[TermId]) -> Option<Preflight> {
-        self.sync(ctx);
-
-        // Unforced pass first: it feeds the shared memo and both rules.
-        let mut all_true = true;
-        for &c in conditions {
-            match self.fact_rec(ctx, c).as_const() {
-                Some(v) if v & 1 == 0 => return Some(Preflight::Unsat),
-                Some(_) => {}
-                None => all_true = false,
-            }
-        }
-        if all_true {
-            return Some(Preflight::Sat);
-        }
-
-        // Build the forced environment from equality-with-constant
-        // conditions; a conflicting forcing refutes immediately.
-        let mut forced = Forced::default();
-        for &c in conditions {
-            let (key, value) = match ctx.node(c) {
-                Node::Eq(a, b) => match (ctx.const_value(a), ctx.const_value(b)) {
-                    (Some(v), None) => (b, mask(ctx.width(b), v)),
-                    (None, Some(v)) => (a, mask(ctx.width(a), v)),
-                    _ => continue,
-                },
-                Node::Symbol { width: 1, .. } => (c, 1),
-                Node::Not(inner) if ctx.width(c) == 1 => (inner, 0),
-                _ => continue,
-            };
-            match forced.values.insert(key, value) {
-                Some(previous) if previous != value => return Some(Preflight::Unsat),
-                _ => {}
-            }
-        }
-        if forced.values.is_empty() {
-            return None;
-        }
-        let keys: Vec<TermId> = forced.values.keys().copied().collect();
-        for key in keys {
-            let support = self.support(ctx, key);
-            forced.support.extend(support.iter().copied());
-        }
-        forced.support.sort_unstable();
-        forced.support.dedup();
-
-        // Forced pass: any condition false under the forced environment
-        // refutes the conjunction.
-        let mut scratch = HashMap::new();
-        for &c in conditions {
-            let fact = self.fact_forced(ctx, c, &forced, &mut scratch);
-            if fact.as_const() == Some(0) {
-                return Some(Preflight::Unsat);
-            }
-        }
-        None
-    }
 }
 
 /// A forced environment: exact values assumed for specific terms, plus
@@ -787,7 +709,102 @@ impl AbsInt {
 #[derive(Debug, Default)]
 struct Forced {
     values: HashMap<TermId, u64>,
-    support: Vec<TermId>,
+    support: Rc<Vec<TermId>>,
+}
+
+/// What a growing path condition forces, absorbed one conjunct at a time.
+///
+/// Each absorbed conjunct forces one term, to the value it has in every
+/// model of the path:
+///
+/// * `t == c`, one side constant, forces `t` to `c`;
+/// * a width-1 `¬b` forces `b` to 0;
+/// * any other width-1 conjunct `b` forces `b` itself to 1.
+///
+/// A condition's [`Fact`] under those forcings therefore holds in every
+/// model of the path, which is how [`PathFacts::value`] decides branch
+/// conditions the path already settled: the decode chains asked after
+/// the opcode is pinned, and a register compare one model re-decides
+/// after the other put it on the path. The facts are memoised for as
+/// long as the forcings stay the same.
+#[derive(Debug, Default)]
+pub(crate) struct PathFacts {
+    absint: AbsInt,
+    /// The conjuncts absorbed so far, in path order.
+    absorbed: Vec<TermId>,
+    forced: Forced,
+    /// Facts under `forced`; cleared whenever it grows.
+    memo: HashMap<TermId, Fact>,
+    /// A conjunct was false under the ones before it: the path is
+    /// unsatisfiable, and nothing is answered.
+    contradicted: bool,
+}
+
+impl PathFacts {
+    /// The value the conjunction `path` forces on the width-1 `cond`:
+    /// `Some(false)` when no model of `path` satisfies `cond`, so
+    /// `path ∧ cond` is unsatisfiable; `Some(true)` when every model
+    /// does, so `path ∧ cond` is equivalent to `path`; `None` when the
+    /// abstraction cannot tell.
+    ///
+    /// `Some(true)` is the solver's verdict on `path ∧ cond` only when
+    /// `path` is satisfiable, which the caller vouches for.
+    ///
+    /// Work is incremental while each call's `path` extends the previous
+    /// one: only the new conjuncts are absorbed, and only `cond`'s cone
+    /// is evaluated. Any other `path` (a sibling, a resumed snapshot)
+    /// starts over.
+    pub(crate) fn value(&mut self, ctx: &Context, path: &[TermId], cond: TermId) -> Option<bool> {
+        if self.absint.sync(ctx) || !path.starts_with(&self.absorbed) {
+            self.absorbed.clear();
+            self.forced = Forced::default();
+            self.memo.clear();
+            self.contradicted = false;
+        }
+        for &conjunct in &path[self.absorbed.len()..] {
+            self.absorb(ctx, conjunct);
+        }
+        if self.contradicted {
+            return None;
+        }
+        self.fact(ctx, cond).as_const().map(|v| v & 1 == 1)
+    }
+
+    fn absorb(&mut self, ctx: &Context, conjunct: TermId) {
+        self.absorbed.push(conjunct);
+        if self.contradicted {
+            return;
+        }
+        match self.fact(ctx, conjunct).as_const() {
+            // Implied by the earlier conjuncts: it forces nothing new.
+            Some(v) if v & 1 == 1 => return,
+            Some(_) => {
+                self.contradicted = true;
+                return;
+            }
+            None => {}
+        }
+        // An undecided conjunct forces a term the environment does not
+        // hold yet: a held term would have decided it.
+        let (term, value) = match ctx.node(conjunct) {
+            Node::Eq(a, b) => match (ctx.const_value(a), ctx.const_value(b)) {
+                (Some(v), None) => (b, mask(ctx.width(b), v)),
+                (None, Some(v)) => (a, mask(ctx.width(a), v)),
+                _ => (conjunct, 1),
+            },
+            Node::Not(inner) => (inner, 0),
+            _ => (conjunct, 1),
+        };
+        self.forced.values.insert(term, value);
+        let support = Rc::clone(&self.absint.fact_rec(ctx, term).support);
+        self.forced.support = union(&self.forced.support, &support);
+        self.memo.clear();
+    }
+
+    fn fact(&mut self, ctx: &Context, term: TermId) -> Fact {
+        self.absint
+            .fact_forced(ctx, term, &self.forced, &mut self.memo)
+    }
 }
 
 /// Sorted-slice union, `Rc`-shared; reuses a side when the other is empty
@@ -1017,7 +1034,7 @@ mod tests {
     }
 
     #[test]
-    fn preflight_kills_conflicting_forced_equalities() {
+    fn conflicting_forced_equalities_decide_false() {
         let mut ctx = Context::new();
         let x = ctx.symbol(32, "x");
         let field = ctx.extract(x, 6, 0);
@@ -1025,21 +1042,18 @@ mod tests {
         let k2 = ctx.constant(7, 0x33);
         let is1 = ctx.eq(field, k1);
         let is2 = ctx.eq(field, k2);
-        let mut absint = AbsInt::new();
+        let mut facts = PathFacts::default();
         assert_eq!(
-            absint.preflight(&ctx, &[is1, is2]),
-            Some(Preflight::Unsat),
+            facts.value(&ctx, &[is1], is2),
+            Some(false),
             "same field forced to two values"
         );
-        assert_eq!(
-            absint.preflight(&ctx, &[is1]),
-            None,
-            "consistent: undecided"
-        );
+        assert_eq!(facts.value(&ctx, &[], is1), None, "consistent: undecided");
+        assert_eq!(facts.value(&ctx, &[is1], is1), Some(true));
     }
 
     #[test]
-    fn preflight_propagates_forced_values_through_cones() {
+    fn forced_values_propagate_through_cones() {
         let mut ctx = Context::new();
         let x = ctx.symbol(8, "x");
         let k3 = ctx.constant(8, 3);
@@ -1048,26 +1062,87 @@ mod tests {
         let one = ctx.constant(8, 1);
         let inc = ctx.add(x, one);
         let contradiction = ctx.ult(inc, k3);
-        let mut absint = AbsInt::new();
+        let mut facts = PathFacts::default();
         assert_eq!(
-            absint.preflight(&ctx, &[forced, contradiction]),
-            Some(Preflight::Unsat),
+            facts.value(&ctx, &[forced], contradiction),
+            Some(false),
             "x = 10 makes x + 1 < 3 false"
         );
+        // Under the forcing the consistent bound is true, not merely
+        // possible: every model of x = 10 satisfies it.
         let k100 = ctx.constant(8, 100);
         let consistent = ctx.ult(inc, k100);
-        assert_eq!(absint.preflight(&ctx, &[forced, consistent]), None);
+        assert_eq!(facts.value(&ctx, &[forced], consistent), Some(true));
+        let k11 = ctx.constant(8, 11);
+        let open = ctx.ult(x, k11);
+        assert_eq!(facts.value(&ctx, &[], open), None);
     }
 
     #[test]
-    fn preflight_accepts_tautologies() {
+    fn tautologies_hold_on_the_empty_path() {
         let mut ctx = Context::new();
         let b = ctx.symbol(1, "b");
         let wide = ctx.zero_ext(b, 32);
         let two = ctx.constant(32, 2);
         let taut = ctx.ult(wide, two);
-        let mut absint = AbsInt::new();
-        assert_eq!(absint.preflight(&ctx, &[taut]), Some(Preflight::Sat));
+        let mut facts = PathFacts::default();
+        assert_eq!(facts.value(&ctx, &[], taut), Some(true));
+    }
+
+    #[test]
+    fn a_later_forcing_decides_an_earlier_undecided_condition() {
+        let mut ctx = Context::new();
+        let x = ctx.symbol(8, "x");
+        let (one, three) = (ctx.constant(8, 1), ctx.constant(8, 3));
+        let (ten, hundred) = (ctx.constant(8, 10), ctx.constant(8, 100));
+        let inc = ctx.add(x, one);
+        let small = ctx.ult(inc, three);
+        let below = ctx.ult(x, hundred);
+        let is10 = ctx.eq(x, ten);
+        let mut facts = PathFacts::default();
+        // `x < 100` forces itself, not `x`: `x + 1 < 3` stays open, and
+        // its fact is memoised under that environment.
+        assert_eq!(facts.value(&ctx, &[below], small), None);
+        // The environment grows by `x = 10`, which decides it.
+        assert_eq!(facts.value(&ctx, &[below, is10], small), Some(false));
+    }
+
+    #[test]
+    fn a_path_that_is_no_extension_starts_over() {
+        let mut ctx = Context::new();
+        let x = ctx.symbol(8, "x");
+        let (one, three) = (ctx.constant(8, 1), ctx.constant(8, 3));
+        let ten = ctx.constant(8, 10);
+        let inc = ctx.add(x, one);
+        let small = ctx.ult(inc, three);
+        let is10 = ctx.eq(x, ten);
+        let is1 = ctx.eq(x, one);
+        let not10 = ctx.not(is10);
+        let mut facts = PathFacts::default();
+        assert_eq!(facts.value(&ctx, &[is10], small), Some(false));
+        // A sibling path: `x = 1` in place of `x = 10`.
+        assert_eq!(facts.value(&ctx, &[is1], small), Some(true));
+        // The other arm of the first fork, then back to a shorter prefix.
+        assert_eq!(facts.value(&ctx, &[not10], is10), Some(false));
+        assert_eq!(facts.value(&ctx, &[not10], small), None);
+        assert_eq!(facts.value(&ctx, &[], is10), None);
+    }
+
+    #[test]
+    fn a_conjunct_with_no_constant_side_forces_itself() {
+        let mut ctx = Context::new();
+        let a = ctx.symbol(32, "a");
+        let b = ctx.symbol(32, "b");
+        let same = ctx.eq(a, b);
+        let differ = ctx.not(same);
+        let below = ctx.ult(a, b);
+        let not_below = ctx.not(below);
+        let mut facts = PathFacts::default();
+        assert_eq!(facts.value(&ctx, &[same], differ), Some(false));
+        assert_eq!(facts.value(&ctx, &[same], same), Some(true));
+        assert_eq!(facts.value(&ctx, &[differ], same), Some(false));
+        assert_eq!(facts.value(&ctx, &[below], not_below), Some(false));
+        assert_eq!(facts.value(&ctx, &[not_below], below), Some(false));
     }
 
     #[test]

@@ -26,6 +26,11 @@
 //! The chain never changes an answer — only how it is computed — so
 //! exploration results are bit-identical with the chain on or off (gated
 //! by the `chain_equivalence` integration tests).
+//!
+//! The chain also holds the path engine's forced environment
+//! ([`PathFacts`]): the engine asks it before building any query, and a
+//! branch condition the path already decides is answered there without
+//! reaching the stages above ([`SolverChain::forced`]).
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
@@ -34,7 +39,7 @@ use std::rc::Rc;
 
 use symcosim_sat::{Lit, SolveResult, Solver};
 
-use crate::absint::{AbsInt, Preflight};
+use crate::absint::PathFacts;
 use crate::audit::ProofAuditor;
 use crate::blast::Blaster;
 use crate::eval::{eval_memo, Env};
@@ -54,8 +59,9 @@ const MODEL_LIMIT: usize = 32;
 pub struct SolverChainStats {
     /// Condition sets routed through the chain.
     pub queries: u64,
-    /// Condition sets answered statically by the abstract-interpretation
-    /// preflight, before any slicing or solver work.
+    /// Queries the path engine answered from its forced environment
+    /// (see [`SolverBackend::forced`](crate::SolverBackend::forced)),
+    /// before any query key is built. Each is also counted in `queries`.
     pub preflight_hits: u64,
     /// Independent components (slices) those sets were split into.
     pub slices: u64,
@@ -196,11 +202,10 @@ pub(crate) struct SolverChain {
     cores: Vec<Box<[TermId]>>,
     /// Recent satisfying models, newest first.
     models: VecDeque<Rc<Env>>,
-    /// Abstract-interpretation facts backing the preflight stage, memoised
-    /// against the same arena as the symbol-support memo.
-    absint: AbsInt,
-    /// Whether the preflight stage runs (on by default; answers never
-    /// change, only how they are computed).
+    /// The forced environment of the path the engine is exploring.
+    path_facts: PathFacts,
+    /// Whether [`SolverChain::forced`] answers (on by default; answers
+    /// never change, only how they are computed).
     preflight: bool,
     stats: SolverChainStats,
 }
@@ -212,7 +217,7 @@ impl Default for SolverChain {
             components: HashMap::new(),
             cores: Vec::new(),
             models: VecDeque::new(),
-            absint: AbsInt::new(),
+            path_facts: PathFacts::default(),
             preflight: true,
             stats: SolverChainStats::default(),
         }
@@ -228,7 +233,7 @@ impl SolverChain {
         self.stats
     }
 
-    /// Enables or disables the abstract-interpretation preflight stage.
+    /// Enables or disables [`SolverChain::forced`].
     pub(crate) fn set_preflight(&mut self, enabled: bool) {
         self.preflight = enabled;
     }
@@ -300,23 +305,6 @@ impl SolverChain {
             return CheckResult::Sat;
         }
 
-        // Preflight: abstract interpretation statically answers condition
-        // sets whose conjunction is forced, before any slicing or solver
-        // work. Sound, so the answer is the one the solver would give.
-        if self.preflight {
-            match self.absint.preflight(ctx, &pending) {
-                Some(Preflight::Sat) => {
-                    self.stats.preflight_hits += 1;
-                    return CheckResult::Sat;
-                }
-                Some(Preflight::Unsat) => {
-                    self.stats.preflight_hits += 1;
-                    return CheckResult::Unsat;
-                }
-                None => {}
-            }
-        }
-
         for component in self.partition(ctx, &pending) {
             self.stats.slices += 1;
             self.stats.max_slice = self.stats.max_slice.max(component.len() as u64);
@@ -327,6 +315,30 @@ impl SolverChain {
             }
         }
         CheckResult::Sat
+    }
+
+    /// Answers `path ∧ cond` from the forced environment of `path` (see
+    /// [`PathFacts::value`]), counting the answer as a query and a
+    /// preflight hit. `None` when the environment leaves `cond` open, or
+    /// the check is switched off. The caller vouches that `path` is
+    /// satisfiable, which a `Sat` answer relies on.
+    pub(crate) fn forced(
+        &mut self,
+        ctx: &Context,
+        path: &[TermId],
+        cond: TermId,
+    ) -> Option<CheckResult> {
+        if !self.preflight {
+            return None;
+        }
+        let value = self.path_facts.value(ctx, path, cond)?;
+        self.stats.queries += 1;
+        self.stats.preflight_hits += 1;
+        Some(if value {
+            CheckResult::Sat
+        } else {
+            CheckResult::Unsat
+        })
     }
 
     /// Splits `conditions` into connected components of the shared-symbol
@@ -622,9 +634,6 @@ mod tests {
         let y2 = ctx.eq(y, c2);
 
         let (mut chain, mut solver, mut blaster) = chain_parts();
-        // Preflight would statically refute the third query; this test is
-        // about the per-slice cache, so bypass it.
-        chain.set_preflight(false);
         assert!(chain
             .check(&ctx, &mut solver, &mut blaster, &[x1], None)
             .is_sat());
@@ -657,9 +666,6 @@ mod tests {
         let x3 = ctx.eq(x, c3);
 
         let (mut chain, mut solver, mut blaster) = chain_parts();
-        // Both queries are preflight-decidable; bypass it to exercise the
-        // unsat-core level underneath.
-        chain.set_preflight(false);
         assert!(!chain
             .check(&ctx, &mut solver, &mut blaster, &[x1, x2], None)
             .is_sat());
@@ -726,11 +732,8 @@ mod tests {
         let x2 = ctx.eq(x, c2);
 
         // First run: one sat solve, one unsat solve (with a stored core
-        // and a stored model). Preflight would answer the unsat query
-        // before a core is ever stored; this test is about seeding all
-        // three caches, so bypass it.
+        // and a stored model).
         let (mut chain, mut solver, mut blaster) = chain_parts();
-        chain.set_preflight(false);
         assert!(chain
             .check(&ctx, &mut solver, &mut blaster, &[x1], None)
             .is_sat());
@@ -744,7 +747,6 @@ mod tests {
         // Second run over the same term graph, warmed: identical answers
         // with zero solves.
         let (mut warmed, mut solver2, mut blaster2) = chain_parts();
-        warmed.set_preflight(false);
         warmed.import_seed(&seed);
         assert!(warmed
             .check(&ctx, &mut solver2, &mut blaster2, &[x1], None)
@@ -839,7 +841,7 @@ mod tests {
     }
 
     #[test]
-    fn preflight_refutes_forced_conflicts_without_solving() {
+    fn forced_conflicts_are_refuted_without_solving() {
         let mut ctx = Context::new();
         let x = ctx.symbol(8, "x");
         let c1 = ctx.constant(8, 1);
@@ -847,31 +849,47 @@ mod tests {
         let x1 = ctx.eq(x, c1);
         let x2 = ctx.eq(x, c2);
 
-        let (mut chain, mut solver, mut blaster) = chain_parts();
-        assert!(chain.preflight_enabled(), "preflight defaults on");
-        assert!(!chain
-            .check(&ctx, &mut solver, &mut blaster, &[x1, x2], None)
-            .is_sat());
+        let mut chain = SolverChain::new();
+        assert!(chain.preflight_enabled(), "the forced check defaults on");
+        assert_eq!(chain.forced(&ctx, &[x1], x2), Some(CheckResult::Unsat));
         let stats = chain.stats();
+        assert_eq!(stats.queries, 1, "an answer counts as a query");
         assert_eq!(stats.preflight_hits, 1);
-        assert_eq!(stats.solves, 0, "statically refuted before the solver");
+        assert_eq!(stats.solves, 0, "refuted before the solver");
         assert_eq!(stats.slices, 0, "answered before slicing");
     }
 
     #[test]
-    fn preflight_accepts_static_tautologies_without_solving() {
+    fn static_tautologies_are_accepted_without_solving() {
         let mut ctx = Context::new();
         let b = ctx.symbol(1, "b");
         let wide = ctx.zero_ext(b, 32);
         let c2 = ctx.constant(32, 2);
         let taut = ctx.ult(wide, c2);
 
-        let (mut chain, mut solver, mut blaster) = chain_parts();
-        assert!(chain
-            .check(&ctx, &mut solver, &mut blaster, &[taut], None)
-            .is_sat());
+        let mut chain = SolverChain::new();
+        assert_eq!(chain.forced(&ctx, &[], taut), Some(CheckResult::Sat));
         let stats = chain.stats();
         assert_eq!(stats.preflight_hits, 1);
+        assert_eq!(stats.solves, 0);
+    }
+
+    #[test]
+    fn a_held_register_compare_answers_its_negation_without_solving() {
+        let mut ctx = Context::new();
+        let a = ctx.symbol(32, "a");
+        let b = ctx.symbol(32, "b");
+        let same = ctx.eq(a, b);
+        let differ = ctx.not(same);
+
+        let mut chain = SolverChain::new();
+        assert_eq!(
+            chain.forced(&ctx, &[same], differ),
+            Some(CheckResult::Unsat)
+        );
+        assert_eq!(chain.forced(&ctx, &[same], same), Some(CheckResult::Sat));
+        let stats = chain.stats();
+        assert_eq!(stats.preflight_hits, 2);
         assert_eq!(stats.solves, 0);
     }
 
@@ -886,6 +904,7 @@ mod tests {
 
         let (mut chain, mut solver, mut blaster) = chain_parts();
         chain.set_preflight(false);
+        assert_eq!(chain.forced(&ctx, &[x1], x2), None, "the check is off");
         assert!(!chain
             .check(&ctx, &mut solver, &mut blaster, &[x1, x2], None)
             .is_sat());

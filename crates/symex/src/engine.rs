@@ -49,11 +49,12 @@ pub struct EngineConfig {
     /// Answers are identical either way; disabling is for benchmarking
     /// and differential testing.
     pub incremental: bool,
-    /// Let the solver chain statically answer feasibility queries whose
-    /// path-condition conjunction is forced, via abstract interpretation
-    /// (see [`SolverBackend::set_preflight`](crate::SolverBackend::set_preflight)).
-    /// Answers are identical either way; disabling is for benchmarking
-    /// and differential testing. Ignored when the chain is off.
+    /// Decide branch conditions the path condition's own conjuncts
+    /// already force, before any feasibility query is built (see
+    /// [`SolverBackend::forced`](crate::SolverBackend::forced)). Answers
+    /// are identical either way; disabling keeps every answer on the
+    /// solver chain and the SAT core, for benchmarking, differential
+    /// testing and proof audits. Off whenever the chain is off.
     pub preflight: bool,
 }
 

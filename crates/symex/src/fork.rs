@@ -227,11 +227,17 @@ impl ForkExec {
     ///
     /// This is the voter's primitive: "can the two models disagree here?".
     ///
-    /// A query that does not fold is first rebuilt with the lane constants
-    /// the path forces (see [`crate::lanes`]).
+    /// A query that does not fold is first asked of the path's forced
+    /// environment, then rebuilt with the lane constants the path forces
+    /// (see [`crate::lanes`]).
     pub fn check_sat(&mut self, cond: TermId) -> bool {
         if let Some(value) = self.ctx.const_value(cond) {
             return value == 1;
+        }
+        if !self.is_dead() {
+            if let Some(value) = self.forced(cond) {
+                return value;
+            }
         }
         let facts = crate::lanes::forced_lanes(&self.ctx, &self.constraints);
         let query = self.lanes.rewrite(&mut self.ctx, facts, cond);
@@ -255,7 +261,30 @@ impl ForkExec {
         self.path_sat(cond)
     }
 
-    /// [`ForkExec::check_sat`] without the lane rewrite.
+    /// Whether the path condition forces `cond` true or false, when its
+    /// own conjuncts decide it (see [`SolverBackend::forced`]): the answer
+    /// the solver would give on a live path, whose condition is
+    /// satisfiable, with no query built. Debug builds re-ask the solver
+    /// chain and check that it agrees.
+    fn forced(&mut self, cond: TermId) -> Option<bool> {
+        let sat = self
+            .backend
+            .forced(&self.ctx, &self.constraints, cond)?
+            .is_sat();
+        #[cfg(debug_assertions)]
+        {
+            self.backend.prefix_sync(&self.constraints);
+            assert_eq!(
+                self.backend.check_suffix(&self.ctx, &[cond]).is_sat(),
+                sat,
+                "the path's forced environment changed a query's answer"
+            );
+        }
+        Some(sat)
+    }
+
+    /// [`ForkExec::check_sat`] without the forced environment and the lane
+    /// rewrite.
     fn path_sat(&mut self, cond: TermId) -> bool {
         if let Some(value) = self.ctx.const_value(cond) {
             return value == 1;
@@ -476,24 +505,29 @@ impl Domain for ForkExec {
             self.kill(PathStatus::DecisionLimit);
             return false;
         }
-        let negated = self.ctx.not(cond);
-        // Both polarity probes share the whole path condition as their
-        // prefix; suffix queries let the incremental solver retain the
-        // prefix's propagation trail between them.
-        self.backend.prefix_sync(&self.constraints);
-        let true_feasible = self.backend.check_suffix(&self.ctx, &[cond]).is_sat();
-        let (choice, constraint) = if true_feasible {
-            if self.backend.check_suffix(&self.ctx, &[negated]).is_sat() {
-                // Both sides feasible: fork, continue on `true`.
-                let mut sibling = self.taken.clone();
-                sibling.push(false);
-                self.forks.push(sibling);
+        let choice = match self.forced(cond) {
+            Some(choice) => choice,
+            None => {
+                // Both polarity probes share the whole path condition as
+                // their prefix; suffix queries let the incremental solver
+                // retain the prefix's propagation trail between them.
+                self.backend.prefix_sync(&self.constraints);
+                let true_feasible = self.backend.check_suffix(&self.ctx, &[cond]).is_sat();
+                if true_feasible {
+                    let negated = self.ctx.not(cond);
+                    if self.backend.check_suffix(&self.ctx, &[negated]).is_sat() {
+                        // Both sides feasible: fork, continue on `true`.
+                        let mut sibling = self.taken.clone();
+                        sibling.push(false);
+                        self.forks.push(sibling);
+                    }
+                }
+                // The path condition is feasible by induction, so if
+                // `true` is not, `false` is.
+                true_feasible
             }
-            (true, cond)
-        } else {
-            // The path condition is feasible by induction, so `false` is.
-            (false, negated)
         };
+        let constraint = if choice { cond } else { self.ctx.not(cond) };
         self.backend.prefix_push(constraint);
         self.record_decision(constraint, choice);
         choice
@@ -521,8 +555,7 @@ impl Domain for ForkExec {
             self.origins.push(crate::project::ConstraintOrigin::Assumed);
             return;
         }
-        self.backend.prefix_sync(&self.constraints);
-        let feasible = self.backend.check_suffix(&self.ctx, &[cond]).is_sat();
+        let feasible = self.forced(cond).unwrap_or_else(|| self.path_sat(cond));
         self.constraints.push(cond);
         self.backend.prefix_push(cond);
         self.origins.push(crate::project::ConstraintOrigin::Assumed);
@@ -1150,6 +1183,78 @@ mod tests {
             .paths
             .iter()
             .any(|p| p.status == PathStatus::DecisionLimit));
+    }
+
+    #[test]
+    fn a_forced_decision_past_the_limit_still_ends_the_path() {
+        // The second decision is forced on both arms of the first, yet it
+        // is one decision too many: the limit wins over the answer.
+        let config = EngineConfig {
+            max_decisions_per_path: 1,
+            ..EngineConfig::default()
+        };
+        let mut engine = ForkEngine::new(config);
+        let outcome = engine.explore(&FnTask(|exec: &mut ForkExec| {
+            let x = exec.fresh_word("x");
+            let is5 = exec.eq_const(x, 5);
+            let first = exec.decide(is5);
+            let second = exec.decide(is5);
+            (first, second)
+        }));
+        assert_eq!(outcome.paths.len(), 2);
+        for path in &outcome.paths {
+            assert_eq!(path.status, PathStatus::DecisionLimit, "{path:?}");
+            assert_eq!(path.decisions.len(), 1);
+        }
+        assert_eq!(engine.backend().solver_chain_stats().preflight_hits, 0);
+    }
+
+    #[test]
+    fn forced_branches_are_answered_from_the_path() {
+        // After `x == 5` and `a == b` are decided, asking them again (or
+        // their negations) is answered from the path's forced
+        // environment. With the check off, or the chain with it, every
+        // answer is the solver's, and the paths are the same.
+        let task = FnTask(|exec: &mut ForkExec| {
+            let x = exec.fresh_word("x");
+            let a = exec.fresh_word("a");
+            let b = exec.fresh_word("b");
+            let is5 = exec.eq_const(x, 5);
+            let same = exec.eq_w(a, b);
+            let first = (exec.decide(is5), exec.decide(same));
+            let differ = exec.not_b(same);
+            let probes = (exec.check_sat(differ), exec.check_sat(is5));
+            let again = (exec.decide(is5), exec.decide(same));
+            (first, probes, again)
+        });
+        let mut on = ForkEngine::new(EngineConfig::default());
+        let outcome = on.explore(&task);
+        assert_eq!(outcome.paths.len(), 4);
+        for path in &outcome.paths {
+            let ((is5, same), (differ, possible5), again) = path.value;
+            assert_eq!((differ, possible5), (!same, is5));
+            assert_eq!(again, (is5, same));
+        }
+        // Two probes and two decisions per path.
+        assert_eq!(on.backend().solver_chain_stats().preflight_hits, 16);
+        for config in [
+            EngineConfig {
+                preflight: false,
+                ..EngineConfig::default()
+            },
+            EngineConfig {
+                solver_chain: false,
+                ..EngineConfig::default()
+            },
+        ] {
+            let mut off = ForkEngine::new(config);
+            let reference = off.explore(&task);
+            assert_eq!(off.backend().solver_chain_stats().preflight_hits, 0);
+            for (on, off) in outcome.paths.iter().zip(&reference.paths) {
+                assert_eq!(on.value, off.value);
+                assert_eq!(on.decisions, off.decisions);
+            }
+        }
     }
 
     #[test]

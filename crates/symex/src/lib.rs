@@ -69,7 +69,7 @@ mod term;
 mod testvec;
 pub mod wf;
 
-pub use absint::{AbsInt, Fact, KnownBits, Preflight};
+pub use absint::{AbsInt, Fact, KnownBits};
 pub use audit::{ProofAuditStats, ProofAuditor};
 pub use chain::{ChainSeed, SolverChainStats};
 pub use context::Context;

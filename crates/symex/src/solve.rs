@@ -196,24 +196,42 @@ impl SolverBackend {
         self.solver.assumption_reuse()
     }
 
-    /// Enables or disables the solver chain's abstract-interpretation
-    /// preflight stage (on by default): condition sets whose conjunction
-    /// is statically forced are answered before any slicing or solver
-    /// work. Preflight is sound, so answers are identical either way;
-    /// disabling exists for benchmarking and differential testing. A
-    /// no-op when the chain itself is disabled.
+    /// Enables or disables [`forced`](Self::forced) (on by default). It
+    /// is sound, so answers are identical either way; disabling keeps
+    /// every answer on the SAT core, for benchmarking, differential
+    /// testing and proof audits. A no-op when the chain itself is
+    /// disabled, which disables `forced` too.
     pub fn set_preflight(&mut self, enabled: bool) {
         if let Some(chain) = &mut self.chain {
             chain.set_preflight(enabled);
         }
     }
 
-    /// Whether the chain's preflight stage is enabled (`false` when the
-    /// chain itself is disabled).
+    /// Whether [`forced`](Self::forced) answers (`false` when the chain
+    /// itself is disabled).
     pub fn preflight(&self) -> bool {
         self.chain
             .as_ref()
             .is_some_and(SolverChain::preflight_enabled)
+    }
+
+    /// Answers `path ∧ cond` from the conjuncts of `path` alone, without
+    /// building a query key: `Unsat` when they force `cond` false, `Sat`
+    /// when they force it true, `None` when they leave it open or the
+    /// check is off (see [`set_preflight`](Self::set_preflight)).
+    ///
+    /// The forced environment is absorbed incrementally, so a path
+    /// engine asking after every new conjunct pays for each condition's
+    /// cone only (KLEE's constraint manager rewrites new conditions with
+    /// the path's `x == c` equalities to the same effect). `Sat` means
+    /// `path ∧ cond ≡ path`, which is the solver's answer only if `path`
+    /// is satisfiable: the caller vouches for that, as the engine does
+    /// for every live path. An answer is counted as a chain query and a
+    /// preflight hit, and leaves no readable model.
+    pub fn forced(&mut self, ctx: &Context, path: &[TermId], cond: TermId) -> Option<CheckResult> {
+        let result = self.chain.as_mut()?.forced(ctx, path, cond)?;
+        self.generation += 1;
+        Some(result)
     }
 
     /// Replaces the tracked path prefix with `constraints` (the engine's

@@ -1,7 +1,7 @@
 //! Differential property tests: the bit-blaster against the concrete
 //! evaluator, over randomly generated term DAGs.
 
-use symcosim_symex::{eval, AbsInt, Context, Env, Node, Preflight, SolverBackend, TermId};
+use symcosim_symex::{eval, AbsInt, CheckResult, Context, Env, Node, SolverBackend, TermId};
 use symcosim_testkit::{check_cases, Rng};
 
 /// A recipe for building a random term over two 8-bit symbols.
@@ -380,100 +380,129 @@ fn subterms(ctx: &Context, roots: &[TermId]) -> Vec<TermId> {
     seen
 }
 
-/// The abstract-interpretation preflight never contradicts the SAT
-/// core: over random condition sets — seasoned with conditions the
-/// lattice can actually decide, so all three verdicts (`Sat`, `Unsat`,
-/// undecided) occur — a `Preflight::Unsat` verdict implies the solver
-/// reports unsat, a `Preflight::Sat` verdict implies sat, and for every
-/// satisfiable set the solver's model lies inside the abstraction of
-/// *every* subterm of the conditions (known-bits cube and interval
-/// both).
-#[test]
-fn absint_never_contradicts_sat() {
-    let mut sat_verdicts = 0u32;
-    let mut unsat_verdicts = 0u32;
-    let mut undecided = 0u32;
-    check_cases(0xd1f_0006, 64, |rng| {
-        let mut ctx = Context::new();
-        let mut set: Vec<TermId> = (0..1 + rng.index(3))
-            .map(|_| condition(rng, &mut ctx))
-            .collect();
-        if rng.chance(1, 3) {
-            // A condition known-bits refutes: (x | 0x80) == c with bit 7
-            // of c clear.
-            let x = ctx.symbol(8, "x");
+/// A branch condition for the forced-environment test: a random
+/// [`condition`], a shape the lattice decides alone (a known-bits
+/// refutation, an interval tautology, a past-width shift bound), a
+/// forcing equality `x == c` / `y == c` with a cone over it, or a
+/// conjunct already on the path or its negation.
+fn branch(rng: &mut Rng, ctx: &mut Context, path: &[TermId]) -> TermId {
+    let x = ctx.symbol(8, "x");
+    let y = ctx.symbol(8, "y");
+    match rng.index(8) {
+        0 | 1 => condition(rng, ctx),
+        2 => {
+            // Known bits refute (x | 0x80) == c with bit 7 of c clear.
             let high = ctx.constant(8, 0x80);
             let tagged = ctx.or(x, high);
-            let c = ctx.constant(8, rng.below(0x80));
-            set.push(ctx.eq(tagged, c));
-        } else if rng.chance(1, 2) {
-            // A tautology the interval lattice proves: (x & 0xf) < 0x10.
-            let x = ctx.symbol(8, "x");
+            let c = ctx.constant(8, rng.below(0x100));
+            ctx.eq(tagged, c)
+        }
+        3 => {
+            // The interval lattice proves (x & 0xf) < 0x10.
             let low = ctx.constant(8, 0xf);
             let masked = ctx.and(x, low);
-            let bound = ctx.constant(8, 0x10);
-            set = vec![ctx.ult(masked, bound)];
+            let bound = ctx.constant(8, 0x10 - rng.below(2));
+            ctx.ult(masked, bound)
         }
-        if rng.chance(1, 4) {
-            // Sub-64-width shift-clamp regression: a logical right shift
-            // whose symbolic amount has a known lower bound past
-            // width - 1 (here lo >= 8 on an 8-bit term). The interval
-            // path must clamp the bounding shift to w - 1 like the
-            // arithmetic-shift path; the subterm containment check below
-            // rejects any over-tight `hi` the clamp could produce.
-            let x = ctx.symbol(8, "x");
-            let y = ctx.symbol(8, "y");
+        4 => {
+            // Sub-64-width shift clamp: a logical right shift whose
+            // symbolic amount is at least the width. The subterm
+            // containment check rejects any over-tight `hi`.
             let past_width = ctx.constant(8, 8 << rng.index(2));
             let amount = ctx.or(y, past_width);
             let shifted = ctx.lshr(x, amount);
             let small = ctx.constant(8, 1 + rng.below(3));
-            set.push(ctx.ult(shifted, small));
+            ctx.ult(shifted, small)
         }
+        5 => {
+            let target = if rng.chance(1, 2) { x } else { y };
+            let c = ctx.constant(8, rng.below(4));
+            ctx.eq(target, c)
+        }
+        6 => {
+            // A cone over the forced symbols.
+            let one = ctx.constant(8, 1 + rng.below(2));
+            let sum = ctx.add(x, one);
+            let bound = ctx.constant(8, rng.below(6));
+            ctx.ult(sum, bound)
+        }
+        _ => match path.len() {
+            0 => condition(rng, ctx),
+            n => {
+                let held = path[rng.index(n)];
+                if rng.chance(1, 2) {
+                    held
+                } else {
+                    ctx.not(held)
+                }
+            }
+        },
+    }
+}
 
-        let mut absint = AbsInt::new();
-        let verdict = absint.preflight(&ctx, &set);
+/// The path's forced environment never contradicts the SAT core. Along
+/// random growing path conditions, each kept satisfiable by taking a
+/// branch condition or its negation, every answer
+/// [`SolverBackend::forced`] gives equals a fresh solve of
+/// `path ∪ {cond}`; all three outcomes (`Sat`, `Unsat`, open) occur, and
+/// paths that shrink exercise the non-extension reset. For every
+/// satisfiable path the solver's model lies inside the abstraction of
+/// every subterm (known-bits cube and interval both).
+#[test]
+fn path_facts_never_contradict_sat() {
+    let mut sat_answers = 0u32;
+    let mut unsat_answers = 0u32;
+    let mut open = 0u32;
+    check_cases(0xd1f_0006, 64, |rng| {
+        let mut ctx = Context::new();
         let mut backend = SolverBackend::new();
-        let result = backend.check(&ctx, &set);
-        match verdict {
-            Some(Preflight::Unsat) => {
-                unsat_verdicts += 1;
-                assert!(
-                    !result.is_sat(),
-                    "preflight claimed unsat but the solver found a model ({set:?})"
-                );
+        let mut path: Vec<TermId> = Vec::new();
+        for _ in 0..8 {
+            if !path.is_empty() && rng.chance(1, 5) {
+                // A shorter path: a sibling or an earlier snapshot.
+                path.truncate(rng.index(path.len()));
             }
-            Some(Preflight::Sat) => {
-                sat_verdicts += 1;
-                assert!(
-                    result.is_sat(),
-                    "preflight claimed a tautology but the solver refuted it ({set:?})"
-                );
+            let cond = branch(rng, &mut ctx, &path);
+            let mut with = path.clone();
+            with.push(cond);
+            let fresh = SolverBackend::new().check(&ctx, &with);
+            match backend.forced(&ctx, &path, cond) {
+                Some(answer) => {
+                    assert_eq!(
+                        answer, fresh,
+                        "forced answer for {cond} on {path:?} disagrees with the solver"
+                    );
+                    match answer {
+                        CheckResult::Sat => sat_answers += 1,
+                        CheckResult::Unsat => unsat_answers += 1,
+                    }
+                }
+                None => open += 1,
             }
-            None => undecided += 1,
+            // Take the feasible side, so the path stays satisfiable.
+            path.push(if fresh.is_sat() { cond } else { ctx.not(cond) });
         }
 
-        if result.is_sat() {
-            let env = backend.test_vector(&ctx).to_env();
-            for term in subterms(&ctx, &set) {
-                let value = eval(&ctx, term, &env);
-                let fact = absint.fact(&ctx, term);
-                assert!(
-                    fact.contains(value),
-                    "model value {value:#x} of {term} escapes its abstraction \
-                     {fact:?} ({set:?})"
-                );
-            }
+        let mut solver = SolverBackend::new();
+        assert!(
+            solver.check(&ctx, &path).is_sat(),
+            "the path stays satisfiable"
+        );
+        let env = solver.test_vector(&ctx).to_env();
+        let mut absint = AbsInt::new();
+        for term in subterms(&ctx, &path) {
+            let value = eval(&ctx, term, &env);
+            let fact = absint.fact(&ctx, term);
+            assert!(
+                fact.contains(value),
+                "model value {value:#x} of {term} escapes its abstraction \
+                 {fact:?} ({path:?})"
+            );
         }
     });
-    assert!(
-        sat_verdicts > 0,
-        "no case exercised a Sat preflight verdict"
-    );
-    assert!(
-        unsat_verdicts > 0,
-        "no case exercised an Unsat preflight verdict"
-    );
-    assert!(undecided > 0, "no case left the preflight undecided");
+    assert!(sat_answers > 0, "no case answered Sat");
+    assert!(unsat_answers > 0, "no case answered Unsat");
+    assert!(open > 0, "no case left a condition open");
 }
 
 /// Models returned for an unconstrained term always satisfy the

@@ -102,10 +102,12 @@ fn audited_branch_sweep_matches_frozen_goldens() {
 }
 
 /// The goldens pin the *unaudited* and *preflight-less* runs too:
-/// auditing and the abstract-interpretation preflight are both
+/// auditing and the path engine's forced-branch check are both
 /// observational, so the same bytes must come back with either toggled
 /// off, sequentially and across worker counts — the
-/// chain_equivalence-style leg of the gate.
+/// chain_equivalence-style leg of the gate. The certified OP sweep at
+/// limit 2, where the forced check answers most queries, must come out
+/// the same with it on and off as well.
 #[test]
 fn golden_bytes_are_audit_and_engine_independent() {
     let expected_report =
@@ -140,51 +142,85 @@ fn golden_bytes_are_audit_and_engine_independent() {
             "{label}: certificate diverged"
         );
     }
+
+    let mut op = SessionConfig::rv32i_only();
+    op.stop_at_first_mismatch = false;
+    op.constraint = InstrConstraint::OnlyOpcode(opcodes::OP);
+    op.instr_limit = 2;
+    op.cycle_limit = 128;
+    op.collect_coverage = true;
+    let [on, off] = [true, false].map(|preflight| {
+        let mut config = op.clone();
+        config.preflight = preflight;
+        run(config)
+    });
+    assert!(on.chain_stats.preflight_hits > 0, "{:?}", on.chain_stats);
+    assert_eq!(off.chain_stats.preflight_hits, 0);
+    assert_eq!(on.to_json(), off.to_json(), "OP limit 2: report diverged");
+    let certify = |r: &VerifyReport| {
+        Certificate::certify(r.coverage.as_ref().expect("coverage collected")).to_json()
+    };
+    assert_eq!(
+        certify(&on),
+        certify(&off),
+        "OP limit 2: certificate diverged"
+    );
 }
 
 /// `symcosim-cli verify --rv32i-only --opcode 0x03 --certify`: the shipped
 /// (Table I) models over every LOAD word at instruction limit 1. Its
 /// register-file and `rd` miters are the ones the voter's congruence and
 /// lane-constant rules answer, and its three misalignment findings carry
-/// solver-chosen witnesses.
+/// solver-chosen witnesses. The bytes hold with `--no-preflight` too.
 #[test]
 fn certified_load_sweep_matches_frozen_goldens() {
-    let mut config = SessionConfig::table1();
-    config.constraint = InstrConstraint::OnlyOpcode(opcodes::LOAD);
-    config.collect_coverage = true;
-    let report = run(config);
-    assert_eq!(report.findings.len(), 3, "the three Table I LOAD findings");
-    let cert = Certificate::certify(report.coverage.as_ref().expect("coverage collected"));
-    assert_golden(
-        LOAD_REPORT_GOLDEN,
-        &report.to_json(),
-        "certified LOAD report",
-    );
-    assert_golden(
-        LOAD_CERT_GOLDEN,
-        &cert.to_json(),
-        "certified LOAD certificate",
-    );
+    for preflight in [true, false] {
+        let mut config = SessionConfig::table1();
+        config.constraint = InstrConstraint::OnlyOpcode(opcodes::LOAD);
+        config.collect_coverage = true;
+        config.preflight = preflight;
+        let report = run(config);
+        assert_eq!(report.findings.len(), 3, "the three Table I LOAD findings");
+        let cert = Certificate::certify(report.coverage.as_ref().expect("coverage collected"));
+        assert_golden(
+            LOAD_REPORT_GOLDEN,
+            &report.to_json(),
+            &format!("certified LOAD report (preflight {preflight})"),
+        );
+        assert_golden(
+            LOAD_CERT_GOLDEN,
+            &cert.to_json(),
+            &format!("certified LOAD certificate (preflight {preflight})"),
+        );
+    }
 }
 
 /// `symcosim-cli inject E9 --limit 2`: the Table II hunt whose second
 /// instruction votes on register files the first one already wrote. The
-/// witness (the CLI's reproducer line) is pinned beside the report.
+/// witness (the CLI's reproducer line) is pinned beside the report, with
+/// `--no-preflight` as without.
 #[test]
 fn e9_limit_two_hunt_matches_frozen_golden() {
-    let mut config = SessionConfig::rv32i_only();
-    config.inject = Some(InjectedError::E9LwOnlyLow16);
-    config.instr_limit = 2;
-    config.cycle_limit = 128;
-    let report = run(config);
-    let witness = report
-        .first_mismatch()
-        .and_then(|f| f.witness.as_ref())
-        .expect("E9 is found at limit 2, with a witness");
-    assert_golden(E9_L2_REPORT_GOLDEN, &report.to_json(), "E9 limit-2 report");
-    assert_golden(
-        E9_L2_WITNESS_GOLDEN,
-        &format!("{witness}\n"),
-        "E9 limit-2 witness",
-    );
+    for preflight in [true, false] {
+        let mut config = SessionConfig::rv32i_only();
+        config.inject = Some(InjectedError::E9LwOnlyLow16);
+        config.instr_limit = 2;
+        config.cycle_limit = 128;
+        config.preflight = preflight;
+        let report = run(config);
+        let witness = report
+            .first_mismatch()
+            .and_then(|f| f.witness.as_ref())
+            .expect("E9 is found at limit 2, with a witness");
+        assert_golden(
+            E9_L2_REPORT_GOLDEN,
+            &report.to_json(),
+            &format!("E9 limit-2 report (preflight {preflight})"),
+        );
+        assert_golden(
+            E9_L2_WITNESS_GOLDEN,
+            &format!("{witness}\n"),
+            &format!("E9 limit-2 witness (preflight {preflight})"),
+        );
+    }
 }
