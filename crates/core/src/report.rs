@@ -346,7 +346,8 @@ pub struct VerifyReport {
     pub lint_issues: Vec<String>,
     /// SAT-solver statistics, summed over all workers' persistent solvers.
     pub solver_stats: SolverStats,
-    /// Feasibility-query memoisation counters, summed over all workers.
+    /// Full-set feasibility-query cache counters, summed over all
+    /// workers; 0/0 with the solver chain on, which bypasses that cache.
     pub query_cache: QueryCacheStats,
     /// Solver-chain slicing and caching counters, summed over all
     /// workers. All zeros when the chain is disabled

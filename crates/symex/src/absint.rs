@@ -27,10 +27,10 @@
 //! answers a new branch condition the path already decides from that
 //! condition's cone alone — without any solver state.
 
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use crate::context::{mask, to_signed};
+use crate::hash::TermMap;
 use crate::term::{Node, TermId, Width};
 use crate::Context;
 
@@ -240,7 +240,7 @@ impl AbsInt {
         if let Some(fact) = &self.facts[term.index()] {
             return fact.clone();
         }
-        let fact = self.transfer(ctx, term, None, &mut HashMap::new());
+        let fact = self.transfer(ctx, term, None, &mut TermMap::default());
         self.facts[term.index()] = Some(fact.clone());
         fact
     }
@@ -255,7 +255,7 @@ impl AbsInt {
         ctx: &Context,
         term: TermId,
         forced: &Forced,
-        scratch: &mut HashMap<TermId, Fact>,
+        scratch: &mut TermMap<TermId, Fact>,
     ) -> Fact {
         if let Some(&value) = forced.values.get(&term) {
             let support = Rc::clone(&self.fact_rec(ctx, term).support);
@@ -283,7 +283,7 @@ impl AbsInt {
         ctx: &Context,
         term: TermId,
         forced: Option<&Forced>,
-        scratch: &mut HashMap<TermId, Fact>,
+        scratch: &mut TermMap<TermId, Fact>,
     ) -> Fact {
         let mut child = |this: &mut Self, t: TermId| match forced {
             Some(f) => this.fact_forced(ctx, t, f, scratch),
@@ -708,7 +708,7 @@ impl AbsInt {
 /// the union of the forced terms' symbol supports (for pruning).
 #[derive(Debug, Default)]
 struct Forced {
-    values: HashMap<TermId, u64>,
+    values: TermMap<TermId, u64>,
     support: Rc<Vec<TermId>>,
 }
 
@@ -730,14 +730,25 @@ struct Forced {
 #[derive(Debug, Default)]
 pub(crate) struct PathFacts {
     absint: AbsInt,
-    /// The conjuncts absorbed so far, in path order.
-    absorbed: Vec<TermId>,
+    /// The conjuncts absorbed so far, in path order, each with what it
+    /// takes to undo it.
+    absorbed: Vec<Absorbed>,
     forced: Forced,
-    /// Facts under `forced`; cleared whenever it grows.
-    memo: HashMap<TermId, Fact>,
-    /// A conjunct was false under the ones before it: the path is
-    /// unsatisfiable, and nothing is answered.
-    contradicted: bool,
+    /// Facts under `forced`; cleared whenever it changes.
+    memo: TermMap<TermId, Fact>,
+    /// The index of a conjunct that was false under the ones before it:
+    /// the path is unsatisfiable, and nothing is answered.
+    contradicted: Option<usize>,
+}
+
+/// One absorbed conjunct and its undo record.
+#[derive(Debug)]
+struct Absorbed {
+    conjunct: TermId,
+    /// The term the conjunct forced, and the forced support before it;
+    /// `None` when it forced nothing (implied, contradicted, or absorbed
+    /// after a contradiction).
+    forcing: Option<(TermId, Rc<Vec<TermId>>)>,
 }
 
 impl PathFacts {
@@ -750,37 +761,73 @@ impl PathFacts {
     /// `Some(true)` is the solver's verdict on `path ∧ cond` only when
     /// `path` is satisfiable, which the caller vouches for.
     ///
-    /// Work is incremental while each call's `path` extends the previous
-    /// one: only the new conjuncts are absorbed, and only `cond`'s cone
-    /// is evaluated. Any other `path` (a sibling, a resumed snapshot)
-    /// starts over.
+    /// Work is incremental: a `path` that shares its first `k` conjuncts
+    /// with the absorbed ones (an extension, a sibling, a resumed
+    /// snapshot) rolls the environment back to those `k` and absorbs
+    /// only the rest, and only `cond`'s cone is evaluated. The state
+    /// after a rollback is the one a fresh absorb of the `k` conjuncts
+    /// would build, so answers never depend on the call history.
     pub(crate) fn value(&mut self, ctx: &Context, path: &[TermId], cond: TermId) -> Option<bool> {
-        if self.absint.sync(ctx) || !path.starts_with(&self.absorbed) {
+        if self.absint.sync(ctx) {
+            // A different context: none of the absorbed terms carry over.
             self.absorbed.clear();
             self.forced = Forced::default();
             self.memo.clear();
-            self.contradicted = false;
+            self.contradicted = None;
         }
-        for &conjunct in &path[self.absorbed.len()..] {
+        let shared = self
+            .absorbed
+            .iter()
+            .zip(path)
+            .take_while(|(absorbed, &conjunct)| absorbed.conjunct == conjunct)
+            .count();
+        self.rollback(shared);
+        for &conjunct in &path[shared..] {
             self.absorb(ctx, conjunct);
         }
-        if self.contradicted {
+        if self.contradicted.is_some() {
             return None;
         }
         self.fact(ctx, cond).as_const().map(|v| v & 1 == 1)
     }
 
+    /// Undoes every conjunct absorbed after the first `len`: their
+    /// forcings leave the environment (the memo with them, if there was
+    /// one), and a contradiction among them is forgotten.
+    fn rollback(&mut self, len: usize) {
+        let mut undone = false;
+        for absorbed in self.absorbed.drain(len..).rev() {
+            if let Some((term, support)) = absorbed.forcing {
+                self.forced.values.remove(&term);
+                self.forced.support = support;
+                undone = true;
+            }
+        }
+        if undone {
+            self.memo.clear();
+        }
+        if self.contradicted.is_some_and(|at| at >= len) {
+            self.contradicted = None;
+        }
+    }
+
     fn absorb(&mut self, ctx: &Context, conjunct: TermId) {
-        self.absorbed.push(conjunct);
-        if self.contradicted {
-            return;
+        let forcing = self.force(ctx, conjunct);
+        self.absorbed.push(Absorbed { conjunct, forcing });
+    }
+
+    /// Adds what `conjunct` forces to the environment, returning the
+    /// forced term and the support before it.
+    fn force(&mut self, ctx: &Context, conjunct: TermId) -> Option<(TermId, Rc<Vec<TermId>>)> {
+        if self.contradicted.is_some() {
+            return None;
         }
         match self.fact(ctx, conjunct).as_const() {
             // Implied by the earlier conjuncts: it forces nothing new.
-            Some(v) if v & 1 == 1 => return,
+            Some(v) if v & 1 == 1 => return None,
             Some(_) => {
-                self.contradicted = true;
-                return;
+                self.contradicted = Some(self.absorbed.len());
+                return None;
             }
             None => {}
         }
@@ -795,10 +842,13 @@ impl PathFacts {
             Node::Not(inner) => (inner, 0),
             _ => (conjunct, 1),
         };
-        self.forced.values.insert(term, value);
+        let held = self.forced.values.insert(term, value);
+        debug_assert!(held.is_none(), "a held term decides its conjunct");
         let support = Rc::clone(&self.absint.fact_rec(ctx, term).support);
-        self.forced.support = union(&self.forced.support, &support);
+        let before = Rc::clone(&self.forced.support);
+        self.forced.support = union(&before, &support);
         self.memo.clear();
+        Some((term, before))
     }
 
     fn fact(&mut self, ctx: &Context, term: TermId) -> Fact {
@@ -1126,6 +1176,107 @@ mod tests {
         assert_eq!(facts.value(&ctx, &[not10], is10), Some(false));
         assert_eq!(facts.value(&ctx, &[not10], small), None);
         assert_eq!(facts.value(&ctx, &[], is10), None);
+    }
+
+    /// The forced environment as comparable data: the held values in
+    /// term order, the support, and the contradiction.
+    fn environment(facts: &PathFacts) -> (Vec<(TermId, u64)>, Vec<TermId>, Option<usize>) {
+        let mut values: Vec<(TermId, u64)> =
+            facts.forced.values.iter().map(|(&t, &v)| (t, v)).collect();
+        values.sort_unstable();
+        (values, facts.forced.support.to_vec(), facts.contradicted)
+    }
+
+    #[test]
+    fn a_sibling_rolls_back_to_the_shared_prefix() {
+        let mut ctx = Context::new();
+        let x = ctx.symbol(8, "x");
+        let y = ctx.symbol(8, "y");
+        let z = ctx.symbol(8, "z");
+        let (one, two, ten) = (ctx.constant(8, 1), ctx.constant(8, 2), ctx.constant(8, 10));
+        let x10 = ctx.eq(x, ten);
+        let hundred = ctx.constant(8, 100);
+        let y_small = ctx.ult(y, hundred);
+        let z1 = ctx.eq(z, one);
+        let y2 = ctx.eq(y, two);
+        let z2 = ctx.eq(z, two);
+        let not_y2 = ctx.not(y2);
+        let yz = ctx.add(y, z);
+        let three = ctx.constant(8, 3);
+        let sum_is_three = ctx.eq(yz, three);
+        let x_inc = ctx.add(x, one);
+        let eleven = ctx.constant(8, 11);
+        let x_is_ten = ctx.eq(x_inc, eleven);
+        let probes = [x10, y2, z1, z2, not_y2, sum_is_three, x_is_ten, y_small];
+
+        // Forcings before the divergence (x = 10, y < 100) and after it
+        // (z = 1, y = 2 on one side; z = 2, y ≠ 2 on the other).
+        let first = [x10, y_small, z1, y2];
+        let sibling = [x10, y_small, z2, not_y2];
+        let mut facts = PathFacts::default();
+        for probe in probes {
+            facts.value(&ctx, &first, probe);
+        }
+        for path in [
+            &sibling[..],
+            &first[..3],
+            &sibling[..],
+            &first[..1],
+            &first[..],
+        ] {
+            for probe in probes {
+                let mut fresh = PathFacts::default();
+                assert_eq!(
+                    facts.value(&ctx, path, probe),
+                    fresh.value(&ctx, path, probe),
+                    "{probe} on {path:?}"
+                );
+                assert_eq!(environment(&facts), environment(&fresh), "{path:?}");
+            }
+        }
+        assert_eq!(facts.value(&ctx, &first, sum_is_three), Some(true));
+        assert_eq!(facts.value(&ctx, &sibling, sum_is_three), None);
+    }
+
+    #[test]
+    fn a_rollback_forgets_only_contradictions_it_undoes() {
+        let mut ctx = Context::new();
+        let x = ctx.symbol(8, "x");
+        let y = ctx.symbol(8, "y");
+        let (one, two) = (ctx.constant(8, 1), ctx.constant(8, 2));
+        let (x1, x2, y1) = (ctx.eq(x, one), ctx.eq(x, two), ctx.eq(y, one));
+        let mut facts = PathFacts::default();
+        // A contradiction at index 2: nothing is answered.
+        assert_eq!(facts.value(&ctx, &[y1, x1, x2], y1), None);
+        assert_eq!(facts.contradicted, Some(2));
+        // Rolling back to 2 undoes it: the prefix answers again.
+        assert_eq!(facts.value(&ctx, &[y1, x1], x2), Some(false));
+        assert_eq!(facts.contradicted, None);
+        // Contradicted at index 1; a rollback to 2 keeps it.
+        assert_eq!(facts.value(&ctx, &[x1, x2, y1], y1), None);
+        assert_eq!(facts.contradicted, Some(1));
+        assert_eq!(facts.value(&ctx, &[x1, x2], y1), None);
+        assert_eq!(facts.contradicted, Some(1));
+        // Past it, to 1, the path is consistent again.
+        assert_eq!(facts.value(&ctx, &[x1], x2), Some(false));
+        assert_eq!(facts.contradicted, None);
+    }
+
+    #[test]
+    fn undoing_a_forcing_reopens_what_it_decided() {
+        let mut ctx = Context::new();
+        let x = ctx.symbol(8, "x");
+        let y = ctx.symbol(8, "y");
+        let (one, three, ten) = (ctx.constant(8, 1), ctx.constant(8, 3), ctx.constant(8, 10));
+        let inc = ctx.add(x, one);
+        let small = ctx.ult(inc, three);
+        let (is10, y1) = (ctx.eq(x, ten), ctx.eq(y, one));
+        let mut facts = PathFacts::default();
+        assert_eq!(facts.value(&ctx, &[y1, is10], small), Some(false));
+        // Back to `y = 1` alone: `x` is free again, and so is `small`.
+        assert_eq!(facts.value(&ctx, &[y1], small), None);
+        assert_eq!(facts.value(&ctx, &[y1, is10], small), Some(false));
+        assert_eq!(facts.value(&ctx, &[], small), None);
     }
 
     #[test]

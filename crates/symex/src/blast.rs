@@ -5,10 +5,9 @@
 //! growing path condition incremental — exactly the access pattern of the
 //! exploration engine.
 
-use std::collections::HashMap;
-
 use symcosim_sat::{Lit, Solver};
 
+use crate::hash::TermMap;
 use crate::term::{Node, TermId};
 use crate::Context;
 
@@ -33,7 +32,7 @@ use crate::Context;
 /// ```
 #[derive(Debug, Default)]
 pub struct Blaster {
-    bits: HashMap<TermId, Vec<Lit>>,
+    bits: TermMap<TermId, Vec<Lit>>,
     true_lit: Option<Lit>,
 }
 

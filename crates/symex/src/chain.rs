@@ -33,7 +33,7 @@
 //! reaching the stages above ([`SolverChain::forced`]).
 
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::rc::Rc;
 
@@ -43,6 +43,7 @@ use crate::absint::PathFacts;
 use crate::audit::ProofAuditor;
 use crate::blast::Blaster;
 use crate::eval::{eval_memo, Env};
+use crate::hash::{TermMap, TermSet};
 use crate::solve::CheckResult;
 use crate::term::{Node, TermId};
 use crate::Context;
@@ -193,10 +194,9 @@ impl ChainSeed {
 #[derive(Debug)]
 pub(crate) struct SolverChain {
     /// Memoised symbol support per term (sorted, deduplicated).
-    support: HashMap<TermId, Rc<Vec<TermId>>>,
-    /// Exact per-component memo (the slicing analogue of the backend's
-    /// full-set query cache).
-    components: HashMap<Box<[TermId]>, CheckResult>,
+    support: TermMap<TermId, Rc<Vec<TermId>>>,
+    /// Exact per-component memo.
+    components: TermMap<Box<[TermId]>, CheckResult>,
     /// Known-unsat condition sets (sorted), minimized via assumption
     /// cores. Kept mutually non-subsuming.
     cores: Vec<Box<[TermId]>>,
@@ -213,8 +213,8 @@ pub(crate) struct SolverChain {
 impl Default for SolverChain {
     fn default() -> SolverChain {
         SolverChain {
-            support: HashMap::new(),
-            components: HashMap::new(),
+            support: TermMap::default(),
+            components: TermMap::default(),
             cores: Vec::new(),
             models: VecDeque::new(),
             path_facts: PathFacts::default(),
@@ -360,7 +360,7 @@ impl SolverChain {
             }
             i
         }
-        let mut owner: HashMap<TermId, usize> = HashMap::new();
+        let mut owner: TermMap<TermId, usize> = TermMap::default();
         for (i, support) in supports.iter().enumerate() {
             for &sym in support.iter() {
                 match owner.entry(sym) {
@@ -499,7 +499,7 @@ impl SolverChain {
     /// solver core (formula-level unsat) degrades to the full component —
     /// still a valid unsat set.
     fn store_core(&mut self, core_lits: &[Lit], assumptions: &[Lit], component: &[TermId]) {
-        let lits: HashSet<Lit> = core_lits.iter().copied().collect();
+        let lits: TermSet<Lit> = core_lits.iter().copied().collect();
         let mut core: Vec<TermId> = component
             .iter()
             .zip(assumptions)
@@ -519,10 +519,12 @@ impl SolverChain {
     }
 
     /// Tries every cached model, newest first; a model satisfying all of
-    /// `component` proves satisfiability.
+    /// `component` proves satisfiability. One evaluation memo serves
+    /// every model, emptied in between.
     fn satisfied_by_cached_model(&self, ctx: &Context, component: &[TermId]) -> bool {
+        let mut memo = TermMap::default();
         self.models.iter().any(|env| {
-            let mut memo = HashMap::new();
+            memo.clear();
             component
                 .iter()
                 .all(|&c| eval_memo(ctx, c, env, &mut memo) & 1 == 1)

@@ -1,7 +1,6 @@
 //! The hash-consing term context and its simplifying constructors.
 
-use std::collections::HashMap;
-
+use crate::hash::TermMap;
 use crate::term::{Node, TermId, Width};
 
 /// Masks `value` to `width` bits.
@@ -44,9 +43,9 @@ pub(crate) fn to_signed(width: Width, value: u64) -> i64 {
 pub struct Context {
     nodes: Vec<Node>,
     widths: Vec<Width>,
-    interned: HashMap<Node, TermId>,
+    interned: TermMap<Node, TermId>,
     symbol_names: Vec<String>,
-    symbol_lookup: HashMap<String, u32>,
+    symbol_lookup: TermMap<String, u32>,
     symbols: Vec<TermId>,
 }
 

@@ -6,8 +6,10 @@
 //! [`TestVector`]: crate::TestVector
 
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 
 use crate::context::{mask, to_signed};
+use crate::hash::TermMap;
 use crate::term::{Node, TermId};
 use crate::Context;
 
@@ -39,7 +41,7 @@ pub type Env = HashMap<String, u64>;
 /// assert_eq!(eval(&ctx, doubled, &env), 42);
 /// ```
 pub fn eval(ctx: &Context, term: TermId, env: &Env) -> u64 {
-    let mut memo = HashMap::new();
+    let mut memo = TermMap::default();
     eval_memo(ctx, term, env, &mut memo)
 }
 
@@ -50,8 +52,14 @@ pub fn eval(ctx: &Context, term: TermId, env: &Env) -> u64 {
 /// linear in the term *graph*. Callers evaluating several terms under the
 /// same environment (e.g. the solver chain testing a cached model against
 /// a whole condition set) should reuse one `memo` across the calls; the
-/// memo is only valid for a single `(ctx, env)` pair.
-pub fn eval_memo(ctx: &Context, term: TermId, env: &Env, memo: &mut HashMap<TermId, u64>) -> u64 {
+/// memo is only valid for a single `(ctx, env)` pair. Any hasher will
+/// do for the memo.
+pub fn eval_memo<S: BuildHasher>(
+    ctx: &Context,
+    term: TermId,
+    env: &Env,
+    memo: &mut HashMap<TermId, u64, S>,
+) -> u64 {
     if let Some(&cached) = memo.get(&term) {
         return cached;
     }

@@ -1276,8 +1276,9 @@ mod tests {
         // 2^4-path tree issues far fewer queries than 16 re-runs would.
         let mut engine = ForkEngine::new(EngineConfig::default());
         engine.explore(&BitTask { bits: 4 });
-        let cache = engine.backend().query_cache_stats();
-        let queries = cache.hits + cache.misses;
+        // Every query reaches the chain, forced answers included.
+        let queries = engine.backend().solver_chain_stats().queries;
+        assert!(queries > 0, "fresh decisions are asked");
         // Each of the 15 fresh decisions asks at most 2 queries; replayed
         // decisions ask none.
         assert!(queries <= 30, "replay must not issue queries ({queries})");

@@ -21,9 +21,8 @@
 //! condition, so the rebuilt query is satisfiable together with the path
 //! exactly when the original is.
 
-use std::collections::HashMap;
-
 use crate::context::mask;
+use crate::hash::TermMap;
 use crate::term::{Node, TermId};
 use crate::Context;
 
@@ -117,7 +116,7 @@ fn offset_of(ctx: &Context, term: TermId) -> Option<(TermId, u64)> {
 #[derive(Debug, Default)]
 pub(crate) struct LaneRewriter {
     facts: Vec<(TermId, u64)>,
-    memo: HashMap<TermId, TermId>,
+    memo: TermMap<TermId, TermId>,
 }
 
 impl LaneRewriter {

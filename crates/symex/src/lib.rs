@@ -62,6 +62,7 @@ mod domain;
 mod engine;
 mod eval;
 mod fork;
+mod hash;
 mod lanes;
 mod project;
 mod solve;

@@ -28,12 +28,12 @@
 //! completeness theorem (a dropped class stays excluded by the surviving
 //! paths' exact decode cubes).
 
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use symcosim_isa::{Pattern, PatternSet};
 
 use crate::eval::{eval, Env};
+use crate::hash::TermMap;
 use crate::term::{Node, TermId};
 use crate::Context;
 
@@ -128,8 +128,8 @@ impl Support {
 /// hash-consed, so structurally equal conditions hit the same entries).
 #[derive(Debug, Default)]
 pub struct Projector {
-    bits: HashMap<(TermId, TermId), Rc<Vec<AbsBit>>>,
-    proj: HashMap<(TermId, TermId), (PatternSet, bool)>,
+    bits: TermMap<(TermId, TermId), Rc<Vec<AbsBit>>>,
+    proj: TermMap<(TermId, TermId), (PatternSet, bool)>,
 }
 
 impl Projector {

@@ -1,12 +1,11 @@
 //! High-level solver facade: feasibility checks and model extraction.
 
-use std::collections::HashMap;
-
 use symcosim_sat::{CoreReplayUnit, Lit, SolveResult, Solver, SolverStats};
 
 use crate::audit::{ProofAuditStats, ProofAuditor};
 use crate::blast::Blaster;
 use crate::chain::{ChainSeed, SolverChain, SolverChainStats};
+use crate::hash::TermMap;
 use crate::term::TermId;
 use crate::{Context, TestVector};
 
@@ -26,8 +25,9 @@ impl CheckResult {
     }
 }
 
-/// Hit/miss counters of the feasibility-query memoisation cache
-/// (see [`SolverBackend::check_cached`]).
+/// Hit/miss counters of the full-set feasibility-query cache (see
+/// [`SolverBackend::check_cached`]). Only backends with the solver chain
+/// off consult that cache, so both counters read 0 with the chain on.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryCacheStats {
     /// Queries answered from the cache without touching the solver.
@@ -108,11 +108,12 @@ impl std::str::FromStr for QueryCacheStats {
 pub struct SolverBackend {
     solver: Solver,
     blaster: Blaster,
-    cache: HashMap<Box<[TermId]>, CheckResult>,
+    /// The full-set query cache; consulted only with the chain off.
+    cache: TermMap<Box<[TermId]>, CheckResult>,
     cache_stats: QueryCacheStats,
     /// The KLEE-style solver chain (see [`crate::chain`]); `None` when
-    /// disabled, in which case cache misses solve the full condition set
-    /// directly.
+    /// disabled, in which case the full-set cache answers, and its misses
+    /// solve the full condition set directly.
     chain: Option<SolverChain>,
     /// The proof auditor (see [`crate::audit`]); `None` unless auditing
     /// was requested, in which case the solver logs proofs and every
@@ -129,7 +130,7 @@ pub struct SolverBackend {
     /// [`prefix_sync`](Self::prefix_sync)): queries via
     /// [`check_suffix`](Self::check_suffix) check `prefix ∪ suffix`.
     /// Purely a bookkeeping convenience — the prefix and suffix are
-    /// recombined into the same sorted condition-set key `check_cached`
+    /// recombined into the same sorted condition set `check_cached`
     /// would build, so verdicts and caching are unchanged; the speed
     /// comes from the solver retaining the prefix's propagation trail
     /// across consecutive queries.
@@ -263,7 +264,7 @@ impl SolverBackend {
     /// Checks the conjunction of the tracked path prefix and `suffix`.
     ///
     /// Exactly equivalent to [`check_cached`](Self::check_cached) on
-    /// `prefix ∪ suffix` — same cache key, same verdict — but lets
+    /// `prefix ∪ suffix` — same condition set, same verdict — but lets
     /// engines phrase per-path query streams as "prefix + one new
     /// condition", which is the access pattern the incremental solver
     /// core rewards.
@@ -310,23 +311,22 @@ impl SolverBackend {
         }
     }
 
-    /// Checks feasibility like [`check`](SolverBackend::check), memoising
-    /// the answer per *condition set*.
+    /// Checks feasibility like [`check`](SolverBackend::check), for
+    /// feasibility-only call sites (branch decisions, assumptions).
     ///
-    /// The cache key is the sorted, deduplicated list of condition terms,
-    /// so the same conjunction asked in any order (as happens when sibling
-    /// paths replay a shared prefix) is answered without re-running the
-    /// solver. Because hash-consing makes term identity structural,
-    /// equal keys mean equal formulas. Cache misses are answered by the
-    /// solver chain when it is enabled (see
-    /// [`with_chain`](Self::with_chain)), and by a direct full-set solve
-    /// otherwise.
+    /// The conditions are sorted and deduplicated first, so the same
+    /// conjunction asked in any order is the same query. With the solver
+    /// chain enabled (see [`with_chain`](Self::with_chain)) it answers:
+    /// the chain's per-component caches already answer a sibling path's
+    /// replayed prefix, so no whole-set key is built or stored. With the
+    /// chain off, answers are memoised per condition set (hash-consing
+    /// makes term identity structural, so equal keys mean equal
+    /// formulas) and a miss solves the full set directly;
+    /// [`query_cache_stats`](Self::query_cache_stats) counts that cache.
     ///
     /// `check_cached` never leaves a readable model behind — after it,
     /// [`value_of`](Self::value_of) and [`test_vector`](Self::test_vector)
-    /// report no model until the next plain [`check`](Self::check). This
-    /// method is meant for feasibility-only call sites (branch decisions,
-    /// assumptions).
+    /// report no model until the next plain [`check`](Self::check).
     pub fn check_cached(&mut self, ctx: &Context, conditions: &[TermId]) -> CheckResult {
         // Any answer given here bypasses (parts of) the solver, so
         // whatever model the solver still holds no longer matches the
@@ -335,39 +335,37 @@ impl SolverBackend {
         let mut key: Vec<TermId> = conditions.to_vec();
         key.sort_unstable();
         key.dedup();
+        if let Some(chain) = self.chain.as_mut() {
+            return chain.check(
+                ctx,
+                &mut self.solver,
+                &mut self.blaster,
+                &key,
+                self.auditor.as_deref_mut(),
+            );
+        }
         let key: Box<[TermId]> = key.into_boxed_slice();
         if let Some(&cached) = self.cache.get(&key) {
             self.cache_stats.hits += 1;
             return cached;
         }
         self.cache_stats.misses += 1;
-        let result = match self.chain.as_mut() {
-            Some(chain) => chain.check(
-                ctx,
-                &mut self.solver,
-                &mut self.blaster,
-                &key,
-                self.auditor.as_deref_mut(),
-            ),
-            None => {
-                let assumptions: Vec<Lit> = key
-                    .iter()
-                    .map(|&c| self.blaster.bool_lit(ctx, &mut self.solver, c))
-                    .collect();
-                match self.solver.solve(&assumptions) {
-                    SolveResult::Sat => {
-                        if let Some(auditor) = self.auditor.as_mut() {
-                            auditor.audit_sat(&mut self.solver);
-                        }
-                        CheckResult::Sat
-                    }
-                    SolveResult::Unsat => {
-                        if let Some(auditor) = self.auditor.as_mut() {
-                            auditor.audit_unsat(&mut self.solver);
-                        }
-                        CheckResult::Unsat
-                    }
+        let assumptions: Vec<Lit> = key
+            .iter()
+            .map(|&c| self.blaster.bool_lit(ctx, &mut self.solver, c))
+            .collect();
+        let result = match self.solver.solve(&assumptions) {
+            SolveResult::Sat => {
+                if let Some(auditor) = self.auditor.as_mut() {
+                    auditor.audit_sat(&mut self.solver);
                 }
+                CheckResult::Sat
+            }
+            SolveResult::Unsat => {
+                if let Some(auditor) = self.auditor.as_mut() {
+                    auditor.audit_unsat(&mut self.solver);
+                }
+                CheckResult::Unsat
             }
         };
         self.cache.insert(key, result);
@@ -429,7 +427,7 @@ impl SolverBackend {
     }
 
     /// Hit/miss counters of the [`check_cached`](Self::check_cached)
-    /// memoisation cache.
+    /// full-set cache; 0/0 with the solver chain on, which bypasses it.
     pub fn query_cache_stats(&self) -> QueryCacheStats {
         self.cache_stats
     }
@@ -658,19 +656,38 @@ mod tests {
         let c2 = ctx.constant(8, 2);
         let is1 = ctx.eq(x, c1);
         let is2 = ctx.eq(x, c2);
+        let sets: [&[TermId]; 5] = [&[is1], &[is1, is2], &[is1], &[is2, is1], &[is1, is2, is1]];
 
-        let mut backend = SolverBackend::new();
-        assert!(backend.check_cached(&ctx, &[is1]).is_sat());
-        assert!(!backend.check_cached(&ctx, &[is1, is2]).is_sat());
-        assert_eq!(backend.query_cache_stats().misses, 2);
-        assert_eq!(backend.query_cache_stats().hits, 0);
+        // Only a chain-off backend consults the full-set cache.
+        let mut direct = SolverBackend::with_chain(false);
+        let answers: Vec<CheckResult> = sets
+            .iter()
+            .map(|set| direct.check_cached(&ctx, set))
+            .collect();
+        assert_eq!(
+            answers,
+            [
+                CheckResult::Sat,
+                CheckResult::Unsat,
+                CheckResult::Sat,
+                CheckResult::Unsat,
+                CheckResult::Unsat
+            ]
+        );
+        // The last three sets repeat the first two: order and duplicates
+        // don't matter.
+        assert_eq!(direct.query_cache_stats().misses, 2);
+        assert_eq!(direct.query_cache_stats().hits, 3);
+        assert_eq!(direct.stats().solves, 2);
 
-        // Same sets again — order and duplicates don't matter.
-        assert!(backend.check_cached(&ctx, &[is1]).is_sat());
-        assert!(!backend.check_cached(&ctx, &[is2, is1]).is_sat());
-        assert!(!backend.check_cached(&ctx, &[is1, is2, is1]).is_sat());
-        assert_eq!(backend.query_cache_stats().misses, 2);
-        assert_eq!(backend.query_cache_stats().hits, 3);
+        // With the chain on, no whole-set key is built: the cache stays
+        // empty and the chain answers every set, identically.
+        let mut chained = SolverBackend::new();
+        for (set, &answer) in sets.iter().zip(&answers) {
+            assert_eq!(chained.check_cached(&ctx, set), answer, "set {set:?}");
+        }
+        assert_eq!(chained.query_cache_stats(), QueryCacheStats::default());
+        assert_eq!(chained.solver_chain_stats().queries, sets.len() as u64);
     }
 
     #[test]

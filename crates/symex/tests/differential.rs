@@ -440,19 +440,24 @@ fn branch(rng: &mut Rng, ctx: &mut Context, path: &[TermId]) -> TermId {
     }
 }
 
-/// The path's forced environment never contradicts the SAT core. Along
-/// random growing path conditions, each kept satisfiable by taking a
-/// branch condition or its negation, every answer
-/// [`SolverBackend::forced`] gives equals a fresh solve of
-/// `path ∪ {cond}`; all three outcomes (`Sat`, `Unsat`, open) occur, and
-/// paths that shrink exercise the non-extension reset. For every
-/// satisfiable path the solver's model lies inside the abstraction of
-/// every subterm (known-bits cube and interval both).
+/// The path's forced environment never contradicts the SAT core, and
+/// never depends on what it was asked before. Along random growing path
+/// conditions, each kept satisfiable by taking a branch condition or its
+/// negation, every answer [`SolverBackend::forced`] gives on one
+/// long-lived backend equals a fresh solve of `path ∪ {cond}` and the
+/// answer of a fresh backend asked about the same path; all three
+/// outcomes (`Sat`, `Unsat`, open) occur. Paths that shrink (a sibling,
+/// an earlier snapshot) continue with the other side of the conjunct
+/// they dropped whenever it is feasible, which exercises the rollback to
+/// a shared prefix. For every satisfiable path the solver's model lies
+/// inside the abstraction of every subterm (known-bits cube and interval
+/// both).
 #[test]
 fn path_facts_never_contradict_sat() {
     let mut sat_answers = 0u32;
     let mut unsat_answers = 0u32;
     let mut open = 0u32;
+    let mut diverged = 0u32;
     check_cases(0xd1f_0006, 64, |rng| {
         let mut ctx = Context::new();
         let mut backend = SolverBackend::new();
@@ -460,13 +465,28 @@ fn path_facts_never_contradict_sat() {
         for _ in 0..8 {
             if !path.is_empty() && rng.chance(1, 5) {
                 // A shorter path: a sibling or an earlier snapshot.
-                path.truncate(rng.index(path.len()));
+                let keep = rng.index(path.len());
+                let dropped = path[keep];
+                path.truncate(keep);
+                let other = ctx.not(dropped);
+                let mut sibling = path.clone();
+                sibling.push(other);
+                if SolverBackend::new().check(&ctx, &sibling).is_sat() {
+                    path = sibling;
+                    diverged += 1;
+                }
             }
             let cond = branch(rng, &mut ctx, &path);
             let mut with = path.clone();
             with.push(cond);
             let fresh = SolverBackend::new().check(&ctx, &with);
-            match backend.forced(&ctx, &path, cond) {
+            let answer = backend.forced(&ctx, &path, cond);
+            assert_eq!(
+                answer,
+                SolverBackend::new().forced(&ctx, &path, cond),
+                "the answer for {cond} on {path:?} depends on the query history"
+            );
+            match answer {
                 Some(answer) => {
                     assert_eq!(
                         answer, fresh,
@@ -503,6 +523,10 @@ fn path_facts_never_contradict_sat() {
     assert!(sat_answers > 0, "no case answered Sat");
     assert!(unsat_answers > 0, "no case answered Unsat");
     assert!(open > 0, "no case left a condition open");
+    assert!(
+        diverged > 0,
+        "no truncated path took the dropped conjunct's other side"
+    );
 }
 
 /// Models returned for an unconstrained term always satisfy the
